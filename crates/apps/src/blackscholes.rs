@@ -8,7 +8,7 @@
 //! ("25% on CPU and 75% on GPU" in Fig. 6).
 
 use crate::workload::random_vec;
-use crate::Instance;
+use crate::{cached, Instance};
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
@@ -52,6 +52,29 @@ pub fn call_price(s: f64, k: f64, t: f64, r: f64, v: f64) -> f64 {
     let d1 = ((s / k).ln() + (r + 0.5 * v * v) * t) / (v * sqrt_t);
     let d2 = d1 - v * sqrt_t;
     s * normal_cdf(d1) - k * (-r * t).exp() * normal_cdf(d2)
+}
+
+/// The option arrays and their reference prices: configuration-independent,
+/// so built once per session.
+struct Inputs {
+    spot: Arc<Matrix>,
+    strike: Arc<Matrix>,
+    expiry: Arc<Matrix>,
+    expected: Vec<f64>,
+}
+
+impl Inputs {
+    fn build(rows: usize, cols: usize) -> Self {
+        let n = rows * cols;
+        let (s, k, t) = (
+            random_vec(n, 5.0, 30.0, 11),
+            random_vec(n, 1.0, 100.0, 12),
+            random_vec(n, 0.25, 10.0, 13),
+        );
+        let expected = (0..n).map(|i| call_price(s[i], k[i], t[i], RATE, VOLATILITY)).collect();
+        let matrix = |v| Arc::new(Matrix::from_vec(rows, cols, v));
+        Inputs { spot: matrix(s), strike: matrix(k), expiry: matrix(t), expected }
+    }
 }
 
 /// The Black-Scholes benchmark over `n` options.
@@ -133,10 +156,11 @@ impl crate::Benchmark for BlackScholes {
         let rows = 64.min(self.n);
         let cols = self.n.div_ceil(rows);
         let n = rows * cols;
+        let data = cached(&self.spec(), || Inputs::build(rows, cols));
         let mut world = World::new();
-        let spot = world.alloc(Matrix::from_vec(rows, cols, random_vec(n, 5.0, 30.0, 11)));
-        let strike = world.alloc(Matrix::from_vec(rows, cols, random_vec(n, 1.0, 100.0, 12)));
-        let expiry = world.alloc(Matrix::from_vec(rows, cols, random_vec(n, 0.25, 10.0, 13)));
+        let spot = world.alloc_shared(Arc::clone(&data.spot));
+        let strike = world.alloc_shared(Arc::clone(&data.strike));
+        let expiry = world.alloc_shared(Arc::clone(&data.expiry));
         let out = world.alloc(Matrix::zeros(rows, cols));
 
         let rule = Self::rule();
@@ -155,15 +179,9 @@ impl crate::Benchmark for BlackScholes {
         );
         p.mark_output(out);
 
-        let expected: Vec<f64> = {
-            let s = random_vec(n, 5.0, 30.0, 11);
-            let k = random_vec(n, 1.0, 100.0, 12);
-            let t = random_vec(n, 0.25, 10.0, 13);
-            (0..n).map(|i| call_price(s[i], k[i], t[i], RATE, VOLATILITY)).collect()
-        };
         let check = Box::new(move |w: &World| -> Result<(), String> {
             let got = w.get(out).as_slice();
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            for (i, (g, e)) in got.iter().zip(&data.expected).enumerate() {
                 if (g - e).abs() > 1e-9 * (1.0 + e.abs()) {
                     return Err(format!("option {i}: got {g}, want {e}"));
                 }

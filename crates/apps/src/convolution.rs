@@ -8,7 +8,7 @@
 //! Fig. 2 plots.
 
 use crate::workload::{random_matrix, triangle_kernel};
-use crate::Instance;
+use crate::{cached, Instance};
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
@@ -238,9 +238,14 @@ impl crate::Benchmark for SeparableConvolution {
     #[allow(clippy::too_many_lines)]
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let (n, k) = (self.n, self.k);
+        let inputs = cached(&self.spec(), || {
+            let (input, kernel) = (random_matrix(n, n, -1.0, 1.0, 21), triangle_kernel(k));
+            let expected = Self::reference(&input, &kernel);
+            (Arc::new(input), Arc::new(kernel), expected)
+        });
         let mut world = World::new();
-        let input = world.alloc(random_matrix(n, n, -1.0, 1.0, 21));
-        let kernel = world.alloc(triangle_kernel(k));
+        let input = world.alloc_shared(Arc::clone(&inputs.0));
+        let kernel = world.alloc_shared(Arc::clone(&inputs.1));
         let out_n = n - k + 1;
         let out = world.alloc(Matrix::zeros(out_n, out_n));
 
@@ -296,13 +301,12 @@ impl crate::Benchmark for SeparableConvolution {
         }
         p.mark_output(out);
 
-        let expected = Self::reference(&random_matrix(n, n, -1.0, 1.0, 21), &triangle_kernel(k));
         let check = Box::new(move |w: &World| -> Result<(), String> {
-            let got = w.get(out);
-            if got.approx_eq(&expected, 1e-9) {
+            let (got, expected) = (w.get(out), &inputs.2);
+            if got.approx_eq(expected, 1e-9) {
                 Ok(())
             } else {
-                Err(format!("max abs diff {}", got.max_abs_diff(&expected)))
+                Err(format!("max abs diff {}", got.max_abs_diff(expected)))
             }
         });
         Instance { world, plan: p.build(), check }

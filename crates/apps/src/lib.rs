@@ -15,9 +15,12 @@
 //! | [`tridiagonal`] | Tridiagonal Solver | direct solve vs. GPU cyclic reduction |
 //!
 //! All inputs are deterministic (seeded), and every benchmark carries a
-//! host-side reference implementation used by `Instance::check`.
+//! host-side reference implementation used by `Instance::check`. Inputs
+//! and reference answers are built through [`cached`], so an evaluation
+//! session (see [`cache`]) builds them once for all its trials.
 
 pub mod blackscholes;
+pub mod cache;
 pub mod convolution;
 pub mod poisson;
 pub mod sort;
@@ -25,6 +28,8 @@ pub mod strassen;
 pub mod svd;
 pub mod tridiagonal;
 pub mod workload;
+
+pub use cache::{cached, InputCache};
 
 use petal_core::executor::{ExecReport, Executor};
 use petal_core::{Config, Error, Plan, Program, World};
@@ -81,6 +86,14 @@ pub trait Benchmark: Send + Sync {
     fn program(&self, machine: &MachineProfile) -> Program;
 
     /// Build a world + plan for one configuration.
+    ///
+    /// Data that does not depend on `cfg` — the inputs and the reference
+    /// answer the check compares against — must be a pure function of
+    /// [`Benchmark::spec`] and should be built through
+    /// [`cached`]`(&self.spec(), …)`, so a tuning session builds it once
+    /// and shares it across trials. Install shared input matrices with
+    /// `World::alloc_shared`; a plan step that writes one gets a private
+    /// copy.
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance;
 
     /// Convenience: build, execute on a fresh executor, verify, report.

@@ -13,7 +13,7 @@
 //! (zeros at the other color's positions).
 
 use crate::workload::random_matrix;
-use crate::Instance;
+use crate::{cached, Instance};
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, PlanBuilder, StencilStep, StepId};
 use petal_core::program::ChoiceSite;
@@ -192,20 +192,21 @@ impl crate::Benchmark for Poisson2D {
         let n2 = self.n + 2; // interior plus zero boundary
         let h2 = 1.0 / ((n2 - 1) as f64 * (n2 - 1) as f64);
         let size = (self.n * self.n) as u64;
-        let mut world = World::new();
-        let u0_m = {
-            let mut m = random_matrix(n2, n2, -1.0, 1.0, 31);
+        let inputs = cached(&self.spec(), || {
+            let mut u0 = random_matrix(n2, n2, -1.0, 1.0, 31);
             for i in 0..n2 {
-                m[(0, i)] = 0.0;
-                m[(n2 - 1, i)] = 0.0;
-                m[(i, 0)] = 0.0;
-                m[(i, n2 - 1)] = 0.0;
+                u0[(0, i)] = 0.0;
+                u0[(n2 - 1, i)] = 0.0;
+                u0[(i, 0)] = 0.0;
+                u0[(i, n2 - 1)] = 0.0;
             }
-            m
-        };
-        let f_m = random_matrix(n2, n2, -1.0, 1.0, 32);
-        let u0 = world.alloc(u0_m.clone());
-        let f = world.alloc(f_m.clone());
+            let f = random_matrix(n2, n2, -1.0, 1.0, 32);
+            let expected = Self::reference(&u0, &f, self.iters);
+            (Arc::new(u0), Arc::new(f), expected)
+        });
+        let mut world = World::new();
+        let u0 = world.alloc_shared(Arc::clone(&inputs.0));
+        let f = world.alloc_shared(Arc::clone(&inputs.1));
         // Ping-pong color buffers.
         let mut red = [world.alloc(Matrix::zeros(n2, n2)), world.alloc(Matrix::zeros(n2, n2))];
         let mut black = [world.alloc(Matrix::zeros(n2, n2)), world.alloc(Matrix::zeros(n2, n2))];
@@ -267,13 +268,12 @@ impl crate::Benchmark for Poisson2D {
             step(&mut p, &combine_rule, vec![red[0], black[0]], out, vec![], iter_place, &last);
         p.mark_output(out);
 
-        let expected = Self::reference(&u0_m, &f_m, self.iters);
         let check = Box::new(move |w: &World| -> Result<(), String> {
-            let got = w.get(out);
-            if got.approx_eq(&expected, 1e-9) {
+            let (got, expected) = (w.get(out), &inputs.2);
+            if got.approx_eq(expected, 1e-9) {
                 Ok(())
             } else {
-                Err(format!("max abs diff {}", got.max_abs_diff(&expected)))
+                Err(format!("max abs diff {}", got.max_abs_diff(expected)))
             }
         });
         Instance { world, plan: p.build(), check }

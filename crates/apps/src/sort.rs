@@ -17,7 +17,7 @@
 //! `merge_parallel_cutoff` tunable.
 
 use crate::workload::random_vec;
-use crate::Instance;
+use crate::{cached, Instance};
 use petal_blas::Matrix;
 use petal_core::plan::{NativeStep, Placement, PlanBuilder, StencilStep};
 use petal_core::program::ChoiceSite;
@@ -130,9 +130,14 @@ impl crate::Benchmark for Sort {
 
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
-        let values = random_vec(n, -1e6, 1e6, 71);
+        let inputs = cached(&self.spec(), || {
+            let values = random_vec(n, -1e6, 1e6, 71);
+            let mut expected = values.clone();
+            expected.sort_by(f64::total_cmp);
+            (Arc::new(Matrix::from_vec(1, n, values)), expected)
+        });
         let mut world = World::new();
-        let data = world.alloc(Matrix::from_vec(1, n, values.clone()));
+        let data = world.alloc_shared(Arc::clone(&inputs.0));
         let mut p = PlanBuilder::new();
 
         let top_choice = cfg.select("sort", n as u64);
@@ -153,14 +158,12 @@ impl crate::Benchmark for Sort {
         }
         p.mark_output(data);
 
-        let mut expected = values;
-        expected.sort_by(f64::total_cmp);
         let check = Box::new(move |w: &World| -> Result<(), String> {
-            let got = w.get(data).as_slice();
+            let (got, expected) = (w.get(data).as_slice(), &inputs.1);
             if got.len() != expected.len() {
                 return Err("length changed".into());
             }
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+            for (i, (g, e)) in got.iter().zip(expected).enumerate() {
                 if g != e {
                     return Err(format!("index {i}: got {g}, want {e}"));
                 }

@@ -15,7 +15,7 @@
 //! kernel (with the `*.gpu_ratio` fractional split).
 
 use crate::workload::random_matrix;
-use crate::Instance;
+use crate::{cached, Instance};
 use petal_blas::gemm::{
     blocked_gemm_into, gemm_flops, lapack_gemm, lapack_gemm_into, naive_gemm, transposed_gemm_into,
 };
@@ -441,23 +441,26 @@ impl crate::Benchmark for Strassen {
 
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
+        let inputs = cached(&self.spec(), || {
+            let a = random_matrix(n, n, -1.0, 1.0, 51);
+            let b = random_matrix(n, n, -1.0, 1.0, 52);
+            let expected = lapack_gemm(&a, &b);
+            (Arc::new(a), Arc::new(b), expected)
+        });
         let mut world = World::new();
-        let a_m = random_matrix(n, n, -1.0, 1.0, 51);
-        let b_m = random_matrix(n, n, -1.0, 1.0, 52);
-        let a = world.alloc(a_m.clone());
-        let b = world.alloc(b_m.clone());
+        let a = world.alloc_shared(Arc::clone(&inputs.0));
+        let b = world.alloc_shared(Arc::clone(&inputs.1));
         let c = world.alloc(Matrix::zeros(n, n));
         let mut p = PlanBuilder::new();
         build_matmul(&mut p, &mut world, cfg, machine, "matmul", a, b, c, n, &[]);
         p.mark_output(c);
-        let expected = lapack_gemm(&a_m, &b_m);
         let check = Box::new(move |w: &World| -> Result<(), String> {
-            let got = w.get(c);
+            let (got, expected) = (w.get(c), &inputs.2);
             let tol = 1e-6 * expected.frobenius_norm().max(1.0);
-            if got.approx_eq(&expected, tol) {
+            if got.approx_eq(expected, tol) {
                 Ok(())
             } else {
-                Err(format!("max abs diff {}", got.max_abs_diff(&expected)))
+                Err(format!("max abs diff {}", got.max_abs_diff(expected)))
             }
         });
         Instance { world, plan: p.build(), check }

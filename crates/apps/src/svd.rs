@@ -16,7 +16,7 @@
 
 use crate::strassen::build_matmul;
 use crate::workload::random_matrix;
-use crate::Instance;
+use crate::{cached, Instance};
 use petal_blas::eigen::jacobi_eigh;
 use petal_blas::Matrix;
 use petal_core::plan::{placement_from_config, NativeStep, PlanBuilder, StencilStep};
@@ -145,9 +145,9 @@ impl crate::Benchmark for Svd {
     fn instantiate(&self, machine: &MachineProfile, cfg: &Config) -> Instance {
         let n = self.n;
         let k = (cfg.tunable_or("svd_rank", (n / 4).max(1) as i64).clamp(1, n as i64)) as usize;
-        let a_m = self.input_matrix();
+        let a_m = cached(&self.spec(), || self.input_matrix());
         let mut world = World::new();
-        let a = world.alloc(a_m.clone());
+        let a = world.alloc_shared(Arc::clone(&a_m));
         let ata = world.alloc(Matrix::zeros(n, n));
         let vk = world.alloc(Matrix::zeros(n, k));
         let sigma = world.alloc(Matrix::zeros(1, k));

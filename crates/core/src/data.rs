@@ -5,8 +5,13 @@
 //! GPU residency table can detect stale copies, §4.3), and holds the
 //! **lazy copy-out** table: regions computed on the GPU whose transfer back
 //! is deferred until a consumer actually needs them (*may copy-out*, §3.2).
+//!
+//! Matrices are held copy-on-write behind [`Arc`]s, so read-only inputs
+//! shared across trials ([`World::alloc_shared`]) enter a world without a
+//! copy; the first host write to a shared matrix clones it privately.
 
 use petal_blas::Matrix;
+use std::sync::Arc;
 
 /// Handle to a matrix inside a [`World`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,7 +40,7 @@ pub struct LazyEntry {
 /// All host-side matrices of one program execution.
 #[derive(Debug, Default)]
 pub struct World {
-    mats: Vec<Matrix>,
+    mats: Vec<Arc<Matrix>>,
     versions: Vec<u64>,
     lazy: Vec<Option<LazyEntry>>,
     /// Lazy pulls performed (for reports and the movement-analysis tests).
@@ -51,6 +56,14 @@ impl World {
 
     /// Install a matrix and get its handle.
     pub fn alloc(&mut self, m: Matrix) -> MatrixId {
+        self.alloc_shared(Arc::new(m))
+    }
+
+    /// Install a matrix that may be shared with other worlds (a cached
+    /// trial input). Reads borrow the shared value; the first write
+    /// through [`World::get_mut`] or [`World::take_matrix`] makes a
+    /// private copy, leaving every other holder's value untouched.
+    pub fn alloc_shared(&mut self, m: Arc<Matrix>) -> MatrixId {
         self.mats.push(m);
         self.versions.push(0);
         self.lazy.push(None);
@@ -85,17 +98,18 @@ impl World {
     }
 
     /// Mutate a matrix; bumps its version so stale GPU copies are detected.
+    /// A shared matrix is copied first (copy-on-write).
     pub fn get_mut(&mut self, id: MatrixId) -> &mut Matrix {
         self.versions[id.0] += 1;
         self.lazy[id.0] = None; // host write supersedes any pending copy-out
-        &mut self.mats[id.0]
+        Arc::make_mut(&mut self.mats[id.0])
     }
 
     /// Overwrite a matrix wholesale.
     pub fn set(&mut self, id: MatrixId, m: Matrix) {
         self.versions[id.0] += 1;
         self.lazy[id.0] = None;
-        self.mats[id.0] = m;
+        self.mats[id.0] = Arc::new(m);
     }
 
     /// Current version of a matrix (bumped on every host write).
@@ -124,10 +138,12 @@ impl World {
     }
 
     /// Move a matrix out for exclusive mutation (tasks run one at a time,
-    /// so this never races). Pair with [`World::restore_matrix`].
+    /// so this never races). Pair with [`World::restore_matrix`]. A shared
+    /// matrix is copied; the shared value stays as it was.
     #[must_use]
     pub fn take_matrix(&mut self, id: MatrixId) -> Matrix {
-        std::mem::replace(&mut self.mats[id.0], Matrix::zeros(0, 0))
+        let m = std::mem::replace(&mut self.mats[id.0], Arc::new(Matrix::zeros(0, 0)));
+        Arc::try_unwrap(m).unwrap_or_else(|shared| (*shared).clone())
     }
 
     /// Put a matrix taken with [`World::take_matrix`] back, bumping its
@@ -135,7 +151,7 @@ impl World {
     pub fn restore_matrix(&mut self, id: MatrixId, m: Matrix) {
         self.versions[id.0] += 1;
         self.lazy[id.0] = None;
-        self.mats[id.0] = m;
+        self.mats[id.0] = Arc::new(m);
     }
 
     /// Register a deferred copy-out for `id` (the *may copy-out* policy).
@@ -161,8 +177,8 @@ impl World {
             None => 0.0,
             Some(e) => {
                 let wait = (e.ready_at - now).max(0.0);
-                self.mats[id.0] =
-                    Matrix::from_vec(self.mats[id.0].rows(), self.mats[id.0].cols(), e.data);
+                let (rows, cols) = (self.mats[id.0].rows(), self.mats[id.0].cols());
+                self.mats[id.0] = Arc::new(Matrix::from_vec(rows, cols, e.data));
                 self.versions[id.0] += 1;
                 self.lazy_pulls += 1;
                 wait + e.pull_secs
@@ -183,6 +199,38 @@ mod tests {
         w.get_mut(id)[(0, 0)] = 5.0;
         assert_eq!(w.get(id)[(0, 0)], 5.0);
         assert_eq!(w.version(id), 1);
+    }
+
+    #[test]
+    fn writing_a_shared_matrix_copies_it_and_bumps_the_version() {
+        let shared = Arc::new(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let mut w = World::new();
+        let id = w.alloc_shared(Arc::clone(&shared));
+        assert!(std::ptr::eq(w.get(id), &*shared), "reads borrow the shared value");
+        w.get_mut(id)[(0, 0)] = 9.0;
+        assert_eq!(w.version(id), 1);
+        assert_eq!(w.get(id)[(0, 0)], 9.0);
+        assert_eq!(shared.as_slice(), &[1.0, 2.0], "the shared value is untouched");
+        assert_eq!(Arc::strong_count(&shared), 1, "the world holds a private copy");
+    }
+
+    #[test]
+    fn take_and_restore_of_a_shared_matrix_leave_the_shared_value_intact() {
+        let shared = Arc::new(Matrix::from_vec(1, 2, vec![1.0, 2.0]));
+        let mut w = World::new();
+        let id = w.alloc_shared(Arc::clone(&shared));
+        let key = w.residency_key(id, 0, 1);
+        let mut m = w.take_matrix(id);
+        m[(0, 1)] = 7.0;
+        w.restore_matrix(id, m);
+        assert_eq!(w.get(id).as_slice(), &[1.0, 7.0]);
+        assert_eq!(w.version(id), 1);
+        assert_ne!(w.residency_key(id, 0, 1), key, "restore still bumps the version");
+        assert_eq!(shared.as_slice(), &[1.0, 2.0]);
+        // A sole owner is moved out, not copied.
+        let own = w.alloc(Matrix::from_vec(1, 1, vec![3.0]));
+        let ptr = w.get(own).as_slice().as_ptr();
+        assert_eq!(w.take_matrix(own).as_slice().as_ptr(), ptr);
     }
 
     #[test]

@@ -667,6 +667,41 @@ mod tests {
     }
 
     #[test]
+    fn plan_steps_writing_shared_matrices_get_private_copies() {
+        // The input and the stencil's output are both shared (cached)
+        // matrices; a native step then scales the input in place.
+        let n = 4;
+        let input = Arc::new(Matrix::from_fn(n, n, |r, c| (r * n + c) as f64));
+        let zeros = Arc::new(Matrix::zeros(n, n));
+        let mut w = World::new();
+        let a = w.alloc_shared(Arc::clone(&input));
+        let b = w.alloc_shared(Arc::clone(&zeros));
+        let mut p = PlanBuilder::new();
+        let s1 = p.stencil(step(a, b, n, Placement::Cpu { chunks: 2 }), &[]);
+        p.native(
+            NativeStep {
+                label: "scale".into(),
+                reads: vec![a],
+                writes: vec![a],
+                run: Box::new(move |world, _ctx| {
+                    world.get_mut(a).as_mut_slice().iter_mut().for_each(|v| *v *= 3.0);
+                    Charge::Work(petal_gpu::cost::CpuWork::new(16.0, 128.0))
+                }),
+            },
+            &[s1],
+        );
+        p.mark_output(b);
+        Executor::new(&MachineProfile::desktop()).run(p.build(), &mut w).unwrap();
+        assert!(w.get(b).approx_eq(&expected(n), 0.0));
+        assert_eq!(w.get(a)[(1, 1)], 3.0 * 5.0);
+        assert_eq!(w.version(a), 1, "the in-place write bumps the version");
+        assert_eq!(w.version(b), 2, "one restore per CPU chunk");
+        assert_eq!(*input, Matrix::from_fn(n, n, |r, c| (r * n + c) as f64), "input untouched");
+        assert_eq!(*zeros, Matrix::zeros(n, n), "output's shared value untouched");
+        assert_eq!((Arc::strong_count(&input), Arc::strong_count(&zeros)), (1, 1));
+    }
+
+    #[test]
     fn opencl_on_gpuless_machine_is_rejected() {
         let (mut w, a, b) = setup(4);
         let mut p = PlanBuilder::new();

@@ -34,6 +34,16 @@
 //! exactly the same code path, so the sequential result is the parallel
 //! result by construction.
 //!
+//! ## Trial inputs
+//!
+//! A benchmark's inputs and reference answer do not depend on the
+//! configuration, so the farm owns a [`petal_apps::InputCache`] for the
+//! tuning session: it is active around every [`evaluate_job`] the farm
+//! runs, all its threads share it, and the trials' worlds share its
+//! matrices copy-on-write. [`EvalFarm::reset`] ends the session and
+//! releases it. Cached data is a pure function of the benchmark spec, so
+//! results are bit-identical with or without it.
+//!
 //! ## Process sharding
 //!
 //! The same contract extends across *process* boundaries:
@@ -66,7 +76,7 @@ pub mod shard;
 pub mod wire;
 
 use dispatch::Dispatch;
-use petal_apps::{Benchmark, Instance};
+use petal_apps::{Benchmark, InputCache, Instance};
 use petal_core::executor::Executor;
 use petal_core::Config;
 use petal_gpu::profile::MachineProfile;
@@ -240,6 +250,9 @@ pub struct EvalFarm {
     /// The modeled on-disk IR cache (`model_process_restarts == true`):
     /// later compiles of a cached source skip the frontend (§5.4).
     ir: HashSet<u64>,
+    /// The session's configuration-independent trial data (in-process
+    /// evaluation; shard workers keep their own).
+    inputs: InputCache,
     per_thread_trials: Vec<usize>,
 }
 
@@ -269,6 +282,7 @@ impl EvalFarm {
             ir_cache_enabled: true,
             warm: HashSet::new(),
             ir: HashSet::new(),
+            inputs: InputCache::new(),
             per_thread_trials: vec![0; workers],
         }
     }
@@ -315,11 +329,12 @@ impl EvalFarm {
         &self.per_thread_trials
     }
 
-    /// Forget all cached compile state and per-thread accounting (start of
-    /// a fresh tuning run).
+    /// Forget all cached compile state, cached trial inputs and per-thread
+    /// accounting (the start or end of a tuning run).
     pub fn reset(&mut self) {
         self.warm.clear();
         self.ir.clear();
+        self.inputs.clear();
         self.per_thread_trials = vec![0; self.workers()];
     }
 
@@ -370,8 +385,9 @@ impl EvalFarm {
         let raw: Vec<JobOutcome> = if self.endpoint.is_some() || self.shards > 0 {
             self.evaluate_dispatched(bench, machine, jobs, effective)
         } else if effective == 1 {
-            jobs.iter().map(|j| evaluate_job(bench, machine, j)).collect()
+            jobs.iter().map(|j| self.inputs.enter(|| evaluate_job(bench, machine, j))).collect()
         } else {
+            let inputs = &self.inputs;
             let mut slots: Vec<Option<JobOutcome>> = Vec::new();
             slots.resize_with(jobs.len(), || None);
             std::thread::scope(|scope| {
@@ -382,7 +398,7 @@ impl EvalFarm {
                                 .enumerate()
                                 .skip(t)
                                 .step_by(effective)
-                                .map(|(i, j)| (i, evaluate_job(bench, machine, j)))
+                                .map(|(i, j)| (i, inputs.enter(|| evaluate_job(bench, machine, j))))
                                 .collect::<Vec<_>>()
                         })
                     })
@@ -502,7 +518,9 @@ impl EvalFarm {
 /// Run one trial: resize, instantiate, execute, check. Everything here is
 /// private to the job, so this function is freely parallel — it is the
 /// unit of work a farm thread runs in-process and a `petal-shard` worker
-/// runs across a pipe.
+/// runs across a pipe. Both run it inside their session's
+/// [`InputCache::enter`], so the benchmark's inputs and reference answer
+/// are built once per session; called outside a session, it builds them.
 #[must_use]
 pub fn evaluate_job(bench: &dyn Benchmark, machine: &MachineProfile, job: &EvalJob) -> JobOutcome {
     let sized: Box<dyn Benchmark>;

@@ -273,7 +273,7 @@ fn serve_registry(
     }
 }
 
-/// Worker-side serve loop: admit to the registry, then judge every
+/// Worker-side serve loop: admit to the fleet, then judge every
 /// `RESULT` through it and forward the fresh ones to their sessions.
 #[allow(clippy::too_many_arguments)]
 fn serve_worker(

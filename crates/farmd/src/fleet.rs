@@ -1,4 +1,4 @@
-//! The dispatcher's worker registry: a small, fully synchronous state
+//! The dispatcher's worker fleet: a small, fully synchronous state
 //! machine over the live worker fleet.
 //!
 //! Everything time-dependent takes `now` as a parameter, so the state
@@ -25,7 +25,7 @@
 //! Jobs are pure functions of their [`petal_farm::EvalJob`], so a job
 //! evaluated twice (a re-queue racing the original worker's late answer,
 //! or a duplicated frame from a flaky link) produces byte-identical
-//! outcomes — the registry only has to make sure exactly **one** copy is
+//! outcomes — the fleet only has to make sure exactly **one** copy is
 //! forwarded, which the per-worker FIFO plus [`Ack`] verdicts guarantee.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -88,18 +88,18 @@ pub struct WorkerEntry {
 /// The worker fleet, keyed by registration id. `BTreeMap` keeps every
 /// iteration (picking, expiry, stats) in deterministic id order.
 #[derive(Debug)]
-pub struct Registry {
+pub struct Fleet {
     deadline: Duration,
     next_id: u64,
     workers: BTreeMap<u64, WorkerEntry>,
 }
 
-impl Registry {
-    /// New registry with the given heartbeat deadline: a worker silent
+impl Fleet {
+    /// New fleet with the given heartbeat deadline: a worker silent
     /// for longer than this is drained.
     #[must_use]
     pub fn new(deadline: Duration) -> Self {
-        Registry { deadline, next_id: 1, workers: BTreeMap::new() }
+        Fleet { deadline, next_id: 1, workers: BTreeMap::new() }
     }
 
     /// Admit a worker, returning its fresh id (ids are never reused).
@@ -159,7 +159,7 @@ impl Registry {
     ///
     /// # Panics
     /// When `id` is unknown — assignments only target workers picked from
-    /// this registry under the same lock.
+    /// this fleet under the same lock.
     pub fn assign(&mut self, id: u64, key: JobKey) {
         self.workers
             .get_mut(&id)
@@ -258,8 +258,8 @@ impl Registry {
 mod tests {
     use super::*;
 
-    fn reg() -> (Registry, Instant) {
-        (Registry::new(Duration::from_millis(100)), Instant::now())
+    fn reg() -> (Fleet, Instant) {
+        (Fleet::new(Duration::from_millis(100)), Instant::now())
     }
 
     /// The satellite's lifecycle walk: register → heartbeat lapse →

@@ -2,7 +2,7 @@
 //!
 //! `petal-farmd` turns the single-box evaluation farm into a service: it
 //! listens on TCP and/or unix-domain sockets, admits **workers**
-//! (`petal-shard --connect`) into a heartbeat-monitored registry, serves
+//! (`petal-shard --connect`) into a heartbeat-monitored fleet, serves
 //! **clients** (a tuner with `FarmSettings::endpoint` set), and pumps
 //! jobs from client sessions to whichever workers are alive — re-queueing
 //! a lost worker's outstanding jobs to survivors so churn never fails a
@@ -22,7 +22,7 @@
 //! client's submission-order merge (where all compile re-pricing lives)
 //! sees the same values no matter which worker answered, how often a job
 //! was retried, or in what order answers arrived. The dispatcher's only
-//! obligations are *exactly-once forwarding* per index (the registry's
+//! obligations are *exactly-once forwarding* per index (the fleet's
 //! FIFO + verdicts) and *eventual completion* (re-queue on loss) —
 //! scheduling is free to be elastic.
 //!
@@ -56,18 +56,18 @@
 #![warn(missing_docs)]
 
 mod conn;
+pub mod fleet;
 mod journal;
 pub mod proxy;
-pub mod registry;
 
 use conn::LineWriter;
+use fleet::{Ack, Fleet, JobKey};
 use journal::Journal;
 use petal_farm::net::{Endpoint, FarmListener};
 use petal_farm::wire::{Message, WIRE_VERSION};
 use petal_farm::{EvalJob, JobOutcome};
 use petal_gpu::profile::MachineProfile;
 use petal_registry::{entry_from_wire, entry_to_wire, ConfigStore, DirStore};
-use registry::{Ack, JobKey, Registry};
 use std::collections::{BTreeMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,8 +171,8 @@ struct Session {
 
 /// All mutable dispatcher state, behind the one global lock.
 struct Inner {
-    registry: Registry,
-    /// Write handles of registered workers, by registry id.
+    fleet: Fleet,
+    /// Write handles of registered workers, by fleet id.
     worker_writers: BTreeMap<u64, Arc<Mutex<LineWriter>>>,
     sessions: BTreeMap<u64, Session>,
     next_session: u64,
@@ -230,7 +230,7 @@ impl Shared {
         writer: Arc<Mutex<LineWriter>>,
     ) -> u64 {
         let mut inner = self.inner.lock().expect("farmd lock");
-        let id = inner.registry.register(name, slots, pid, Instant::now());
+        let id = inner.fleet.register(name, slots, pid, Instant::now());
         inner.worker_writers.insert(id, writer);
         drop(inner);
         self.notify();
@@ -238,11 +238,11 @@ impl Shared {
     }
 
     pub(crate) fn touch_worker(&self, id: u64, now: Instant) -> bool {
-        self.inner.lock().expect("farmd lock").registry.touch(id, now)
+        self.inner.lock().expect("farmd lock").fleet.touch(id, now)
     }
 
     pub(crate) fn worker_gone(&self, id: u64) -> bool {
-        self.inner.lock().expect("farmd lock").registry.get(id).is_none()
+        self.inner.lock().expect("farmd lock").fleet.get(id).is_none()
     }
 
     /// Judge a RESULT. `Some((session, index))` means fresh — forward it;
@@ -255,8 +255,8 @@ impl Shared {
         now: Instant,
     ) -> Option<(u64, u64)> {
         let mut inner = self.inner.lock().expect("farmd lock");
-        inner.registry.touch(id, now);
-        match inner.registry.complete(id, index) {
+        inner.fleet.touch(id, now);
+        match inner.fleet.complete(id, index) {
             Ack::Fresh(key) => {
                 inner.inflight_jobs.remove(&key);
                 inner.completed += 1;
@@ -280,7 +280,7 @@ impl Shared {
     pub(crate) fn lose_worker(self: &Arc<Self>, id: u64, reason: &str, send_goodbye: bool) {
         let writer = {
             let mut inner = self.inner.lock().expect("farmd lock");
-            let keys = inner.registry.remove(id);
+            let keys = inner.fleet.remove(id);
             if !keys.is_empty() {
                 eprintln!(
                     "petal-farmd: worker {id} lost ({reason}); re-queueing {} jobs",
@@ -680,9 +680,9 @@ impl Inner {
     ) {
         // Expiry: drain workers past the heartbeat deadline and reclaim
         // their jobs. Their connections are closed outside the lock; the
-        // reader thread's EOF then removes them from the registry.
+        // reader thread's EOF then removes them from the fleet.
         let mut closes = Vec::new();
-        for (id, keys) in self.registry.expire(now) {
+        for (id, keys) in self.fleet.expire(now) {
             eprintln!(
                 "petal-farmd: worker {id} missed its heartbeat deadline; re-queueing {} jobs",
                 keys.len()
@@ -703,7 +703,7 @@ impl Inner {
                 self.queue.pop_front(); // session closed while queued
                 continue;
             };
-            let Some(worker) = self.registry.pick(session_id) else { break };
+            let Some(worker) = self.fleet.pick(session_id) else { break };
             let pending = self.queue.pop_front().expect("front exists");
             let writer =
                 Arc::clone(self.worker_writers.get(&worker).expect("picked worker has a writer"));
@@ -714,16 +714,16 @@ impl Inner {
                     plans.last_mut().expect("just pushed")
                 }
             };
-            if self.registry.session(worker) != Some(session_id) {
+            if self.fleet.session(worker) != Some(session_id) {
                 plan.msgs.push(Message::Init {
                     version: WIRE_VERSION,
                     bench_spec: session.bench_spec.clone(),
                     machine: Box::new(session.machine.clone()),
                 });
-                self.registry.set_session(worker, session_id);
+                self.fleet.set_session(worker, session_id);
             }
             let key = (session_id, pending.index);
-            self.registry.assign(worker, key);
+            self.fleet.assign(worker, key);
             self.inflight_jobs.insert(key, pending.job.clone());
             if let Some(j) = self.journal.as_mut() {
                 j.assign(session_id, pending.index, worker);
@@ -735,7 +735,7 @@ impl Inner {
         // window this is just elastic join in progress; past it, sessions
         // with queued work are told so instead of blocking forever.
         let mut starved = Vec::new();
-        if self.queue.is_empty() || self.registry.ready_count() > 0 {
+        if self.queue.is_empty() || self.fleet.ready_count() > 0 {
             self.starved_since = None;
         } else {
             let since = *self.starved_since.get_or_insert(now);
@@ -832,7 +832,7 @@ impl Farmd {
         }
         let shared = Arc::new(Shared {
             inner: Mutex::new(Inner {
-                registry: Registry::new(opts.deadline),
+                fleet: Fleet::new(opts.deadline),
                 worker_writers: BTreeMap::new(),
                 sessions,
                 next_session,
@@ -876,11 +876,11 @@ impl Farmd {
     pub fn stats(&self) -> FarmdStats {
         let inner = self.shared.inner.lock().expect("farmd lock");
         FarmdStats {
-            workers: inner.registry.len(),
-            ready: inner.registry.ready_count(),
+            workers: inner.fleet.len(),
+            ready: inner.fleet.ready_count(),
             sessions: inner.sessions.len(),
             queued: inner.queue.len(),
-            inflight: inner.registry.inflight_total(),
+            inflight: inner.fleet.inflight_total(),
             requeues: inner.requeues,
             completed: inner.completed,
         }
@@ -1006,7 +1006,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
             w.shutdown();
             drop(w);
             // The reader thread will observe the close and finish the
-            // teardown (registry removal) via lose_worker.
+            // teardown (fleet removal) via lose_worker.
             let _ = id;
         }
         for (session, writer) in starved {

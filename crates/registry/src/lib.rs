@@ -396,14 +396,6 @@ pub struct DirStore {
     dir: PathBuf,
 }
 
-/// The old name of [`DirStore`], from when the directory form was the
-/// only store.
-#[deprecated(
-    since = "0.1.0",
-    note = "renamed to `DirStore`; write store-agnostic code against `ConfigStore`"
-)]
-pub type Registry = DirStore;
-
 /// What a [`ConfigStore::put`] did with the offered entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PutOutcome {

@@ -11,7 +11,10 @@
 //! the parent's submission-order merge), so any job assignment produces
 //! bit-identical tuning results. One worker serves one
 //! `(benchmark, machine)` session, established by the `INIT` handshake;
-//! the parent respawns workers when the session changes.
+//! the parent respawns workers when the session changes. The session owns
+//! a [`petal_apps::InputCache`], so its trials share the benchmark's
+//! inputs and reference answers (pure functions of the spec) instead of
+//! rebuilding them per job.
 
 #![warn(missing_docs)]
 
@@ -19,7 +22,7 @@ pub mod remote;
 
 pub use remote::{serve_remote, RemoteOptions};
 
-use petal_apps::{benchmark_from_spec, Benchmark};
+use petal_apps::{benchmark_from_spec, Benchmark, InputCache};
 use petal_farm::wire::{
     version_supported, Message, Record, WireEncoder, MIN_WIRE_VERSION, WIRE_VERSION,
 };
@@ -131,10 +134,11 @@ pub fn serve(mut input: impl BufRead, mut output: impl Write) -> Result<(), Serv
     // can serve (newer versions are pure supersets on the pipe records).
     bufs.send(&mut output, &Message::Ready { version })?;
 
+    let inputs = InputCache::new();
     while bufs.recv_line(&mut input)? {
         match Message::decode(&bufs.line_in).map_err(|e| err(e.to_string()))? {
             Message::Job { index, job } => {
-                let outcome = petal_farm::evaluate_job(&*bench, &machine, &job);
+                let outcome = inputs.enter(|| petal_farm::evaluate_job(&*bench, &machine, &job));
                 bufs.send(&mut output, &Message::Result { index, outcome })?;
             }
             Message::Done => return Ok(()),

@@ -3,7 +3,8 @@
 //!
 //! The job-serving core is identical to the pipe mode — the same
 //! [`petal_farm::evaluate_job`] on the same `(benchmark, machine)`
-//! sessions — wrapped in the socket lifecycle from `docs/farmd.md`:
+//! sessions, each with its own trial-input cache — wrapped in the socket
+//! lifecycle from `docs/farmd.md`:
 //!
 //! 1. connect (with retry patience, so workers may start before the
 //!    dispatcher), exchange `HELLO`s and negotiate a wire version;
@@ -26,7 +27,7 @@
 //! lost with the old connection is simply re-queued by the dispatcher.
 
 use crate::{err, ServeError};
-use petal_apps::{benchmark_from_spec, Benchmark};
+use petal_apps::{benchmark_from_spec, Benchmark, InputCache};
 use petal_farm::net::{Endpoint, FarmStream};
 use petal_farm::wire::{negotiate, Message, WireEncoder, MIN_WIRE_VERSION, WIRE_VERSION};
 use petal_gpu::profile::MachineProfile;
@@ -232,7 +233,8 @@ fn serve_once(
 
     // Serve: INIT re-targets the session, JOB evaluates, GOODBYE/DONE
     // dismisses, EOF/IO errors report a lost (reconnectable) dispatcher.
-    let mut session: Option<(Box<dyn Benchmark>, MachineProfile)> = None;
+    // Each INIT starts a session with its own trial-input cache.
+    let mut session: Option<(Box<dyn Benchmark>, MachineProfile, InputCache)> = None;
     loop {
         match recv_line(&mut reader, &mut line) {
             Ok(true) => {}
@@ -249,7 +251,7 @@ fn serve_once(
             Message::Init { version, bench_spec, machine } => {
                 let bench = benchmark_from_spec(&bench_spec)
                     .map_err(|e| err(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
-                session = Some((bench, *machine));
+                session = Some((bench, *machine, InputCache::new()));
                 if let Err(e) = send(&Message::Ready { version }) {
                     return Ok(Served::Lost(format!("writing READY: {e}")));
                 }
@@ -261,10 +263,10 @@ fn serve_once(
                     eprintln!("petal-shard[{}]: injected failure before job {index}", opts.name);
                     std::process::exit(3);
                 }
-                let Some((bench, machine)) = session.as_ref() else {
+                let Some((bench, machine, inputs)) = session.as_ref() else {
                     return Err(err(format!("JOB {index} before any INIT")));
                 };
-                let outcome = petal_farm::evaluate_job(&**bench, machine, &job);
+                let outcome = inputs.enter(|| petal_farm::evaluate_job(&**bench, machine, &job));
                 if let Err(e) = send(&Message::Result { index, outcome }) {
                     return Ok(Served::Lost(format!("writing RESULT: {e}")));
                 }

@@ -65,7 +65,7 @@ use rand::{Rng, SeedableRng};
 
 /// A donor configuration seeding generation 0 of the search — usually
 /// the registry's nearest stored config for this (benchmark, size) on a
-/// similar machine (`petal_registry::Registry::lookup`), so re-tuning
+/// similar machine (`petal_registry::ConfigStore::lookup`), so re-tuning
 /// after a migration only has to *repair* the migration penalty instead
 /// of rediscovering the whole mapping.
 ///
@@ -291,7 +291,9 @@ impl<'a> Autotuner<'a> {
     /// Trials are dispatched in generation batches to the evaluation farm;
     /// the modeled kernel/IR caches persist across trials exactly as one
     /// autotuning session would behave, and the accumulated compile time is
-    /// reported in [`TuningStats`].
+    /// reported in [`TuningStats`]. The benchmark's inputs and reference
+    /// answers are built once per input size and shared by the run's
+    /// trials; they are released when `run` returns.
     pub fn run(&mut self) -> Tuned {
         self.rng = StdRng::seed_from_u64(self.settings.seed);
         self.farm.reset();
@@ -488,6 +490,8 @@ impl<'a> Autotuner<'a> {
             (_, Some(i)) => population.swap_remove(i).config,
             (None, None) => unreachable!("offset is 0 without a warm start"),
         };
+        // The session is over: release its cached trial inputs.
+        self.farm.reset();
         Tuned { config, time_secs: best_time, stats: self.stats.clone() }
     }
 
