@@ -114,6 +114,14 @@ impl BlackScholes {
                 let t = env.inputs[2].at(x, y);
                 call_price(s, k, t, env.scalars[0], env.scalars[1])
             }),
+            row: Some(Arc::new(|env, x0, y, out| {
+                let n = out.len();
+                let (s, k) = (env.inputs[0].row(x0, y, n), env.inputs[1].row(x0, y, n));
+                let t = env.inputs[2].row(x0, y, n);
+                for (c, cell) in out.iter_mut().enumerate() {
+                    *cell = call_price(s[c], k[c], t[c], env.scalars[0], env.scalars[1]);
+                }
+            })),
             native_only_body: false,
         })
     }

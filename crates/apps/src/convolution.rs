@@ -107,6 +107,21 @@ impl SeparableConvolution {
                 }
                 acc
             }),
+            // Same per-cell `(a*b)*c` terms in the same (j, i) order as
+            // `elem`, with the cells of the span as the innermost loop.
+            row: Some(Arc::new(|env, x0, y, out| {
+                let k = env.scalars[0] as usize;
+                let coef = env.inputs[1].row(0, 0, k);
+                out.fill(0.0);
+                for (j, &cj) in coef.iter().enumerate() {
+                    let src = env.inputs[0].row(x0, y + j, out.len() + k - 1);
+                    for (i, &ci) in coef.iter().enumerate() {
+                        for (acc, &v) in out.iter_mut().zip(&src[i..]) {
+                            *acc += v * ci * cj;
+                        }
+                    }
+                }
+            })),
             native_only_body: false,
         })
     }
@@ -129,6 +144,12 @@ impl SeparableConvolution {
                 let k = env.scalars[0] as usize;
                 (0..k).map(|i| env.inputs[0].at(x + i, y) * env.inputs[1].at(i, 0)).sum()
             }),
+            row: Some(Arc::new(|env, x0, y, out| {
+                let k = env.scalars[0] as usize;
+                let coef = env.inputs[1].row(0, 0, k);
+                let src = env.inputs[0].row(x0, y, out.len() + k - 1);
+                sum_taps(out, coef, |i| &src[i..]);
+            })),
             native_only_body: false,
         })
     }
@@ -151,6 +172,12 @@ impl SeparableConvolution {
                 let k = env.scalars[0] as usize;
                 (0..k).map(|i| env.inputs[0].at(x, y + i) * env.inputs[1].at(i, 0)).sum()
             }),
+            row: Some(Arc::new(|env, x0, y, out| {
+                let k = env.scalars[0] as usize;
+                let coef = env.inputs[1].row(0, 0, k);
+                let n = out.len();
+                sum_taps(out, coef, |i| env.inputs[0].row(x0, y + i, n));
+            })),
             native_only_body: false,
         })
     }
@@ -190,6 +217,19 @@ impl SeparableConvolution {
             }
             acc
         })
+    }
+}
+
+/// Row body of the 1D passes: `out[c]` becomes `(0..k).map(|i| tap(i)[c] *
+/// coef[i]).sum()`, bit-identical to the per-cell `elem` — the same terms
+/// folded in the same order from `Sum`'s own starting value — with the
+/// cells of the span as the innermost loop.
+fn sum_taps<'a>(out: &mut [f64], coef: &[f64], tap: impl Fn(usize) -> &'a [f64]) {
+    out.fill(std::iter::empty::<f64>().sum());
+    for (i, &ci) in coef.iter().enumerate() {
+        for (acc, &v) in out.iter_mut().zip(tap(i)) {
+            *acc += v * ci;
+        }
     }
 }
 

@@ -46,7 +46,8 @@ impl Poisson2D {
 
     /// Extraction rule for the split phase: keep cells of `color`
     /// (`scalars[0]`), zero elsewhere.
-    fn rule_split() -> Arc<StencilRule> {
+    #[must_use]
+    pub fn rule_split() -> Arc<StencilRule> {
         Arc::new(StencilRule {
             name: "sor_split".into(),
             inputs: vec![StencilInput { index: 0, access: AccessPattern::Point }],
@@ -62,6 +63,10 @@ impl Poisson2D {
                     0.0
                 }
             }),
+            row: Some(Arc::new(|env, x0, y, out| {
+                let src = env.inputs[0].row(x0, y, out.len());
+                keep_color(out, src, x0, y, env.scalars[0] as usize);
+            })),
             native_only_body: false,
         })
     }
@@ -69,7 +74,8 @@ impl Poisson2D {
     /// One half-sweep: update cells of `color` from the other color's
     /// buffer. Inputs: `[other, mine, f]`; neighbor reads make this a
     /// gather, so no scratchpad variant exists (§3.1 bounding-box test).
-    fn rule_sweep() -> Arc<StencilRule> {
+    #[must_use]
+    pub fn rule_sweep() -> Arc<StencilRule> {
         Arc::new(StencilRule {
             name: "sor_sweep".into(),
             inputs: vec![
@@ -104,12 +110,40 @@ impl Poisson2D {
                     + env.inputs[0].at(x, y + 1);
                 (1.0 - omega) * env.inputs[1].at(x, y) + omega * 0.25 * (nb - h2 * env.inputs[2].at(x, y))
             }),
+            row: Some(Arc::new(|env, x0, y, out| {
+                let color = env.scalars[0] as usize;
+                let omega = env.scalars[1];
+                let h2 = env.scalars[2];
+                let (other, mine) = (&env.inputs[0], &env.inputs[1]);
+                let n1 = mine.width() - 1;
+                let me = mine.row(x0, y, out.len());
+                if y == 0 || y == n1 {
+                    keep_color(out, me, x0, y, color);
+                    return;
+                }
+                let w = other.width();
+                let (up, mid, down) = (other.row(0, y - 1, w), other.row(0, y, w), other.row(0, y + 1, w));
+                let f = env.inputs[2].row(x0, y, out.len());
+                for (dx, (cell, (&m, &fv))) in out.iter_mut().zip(me.iter().zip(f)).enumerate() {
+                    let x = x0 + dx;
+                    let is_mine = (x + y) % 2 == color;
+                    *cell = if !is_mine {
+                        0.0
+                    } else if x == 0 || x == n1 {
+                        m
+                    } else {
+                        let nb = mid[x - 1] + mid[x + 1] + up[x] + down[x];
+                        (1.0 - omega) * m + omega * 0.25 * (nb - h2 * fv)
+                    };
+                }
+            })),
             native_only_body: false,
         })
     }
 
     /// Recombination rule: `u = red + black`.
-    fn rule_combine() -> Arc<StencilRule> {
+    #[must_use]
+    pub fn rule_combine() -> Arc<StencilRule> {
         Arc::new(StencilRule {
             name: "sor_combine".into(),
             inputs: vec![
@@ -119,6 +153,13 @@ impl Poisson2D {
             flops_per_output: 1.0,
             body_c: "result = IN0(x, y) + IN1(x, y);".into(),
             elem: Arc::new(|env, x, y| env.inputs[0].at(x, y) + env.inputs[1].at(x, y)),
+            row: Some(Arc::new(|env, x0, y, out| {
+                let a = env.inputs[0].row(x0, y, out.len());
+                let b = env.inputs[1].row(x0, y, out.len());
+                for (cell, (&a, &b)) in out.iter_mut().zip(a.iter().zip(b)) {
+                    *cell = a + b;
+                }
+            })),
             native_only_body: false,
         })
     }
@@ -148,6 +189,14 @@ impl Poisson2D {
             black = sweep(&black, &red, 1);
         }
         red.add(&black)
+    }
+}
+
+/// Row-body form of "keep cells of `color`, zero elsewhere": writes `src`
+/// into `out` (cells `x0..` of row `y`) where `x + y` has parity `color`.
+fn keep_color(out: &mut [f64], src: &[f64], x0: usize, y: usize, color: usize) {
+    for (dx, (cell, &v)) in out.iter_mut().zip(src).enumerate() {
+        *cell = if (x0 + dx + y) % 2 == color { v } else { 0.0 };
     }
 }
 

@@ -83,6 +83,7 @@ impl Sort {
                     a.max(b)
                 }
             }),
+            row: None,
             native_only_body: false,
         })
     }

@@ -50,6 +50,7 @@ pub fn rule_matmul() -> Arc<StencilRule> {
             let kk = env.scalars[0] as usize;
             (0..kk).map(|k| env.inputs[0].at(k, y) * env.inputs[1].at(x, k)).sum()
         }),
+        row: None,
         native_only_body: false,
     })
 }

@@ -47,6 +47,7 @@ pub fn rule_ata() -> Arc<StencilRule> {
             let m = env.scalars[0] as usize;
             (0..m).map(|r| env.inputs[0].at(y, r) * env.inputs[1].at(x, r)).sum()
         }),
+        row: None,
         native_only_body: false,
     })
 }

@@ -119,6 +119,7 @@ impl Tridiagonal {
                     }
                 }
             }),
+            row: None,
             native_only_body: false,
         })
     }
@@ -148,6 +149,7 @@ impl Tridiagonal {
                     if x + 1 < m { bands.at(x, 2) * even.at(x.div_ceil(2), 0) } else { 0.0 };
                 (bands.at(x, 3) - left - right) / bands.at(x, 1)
             }),
+            row: None,
             native_only_body: false,
         })
     }

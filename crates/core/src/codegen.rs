@@ -342,8 +342,19 @@ pub fn run_global(
         .collect();
     let env = StencilEnv { inputs: &views, scalars };
     for y in geom.row0..geom.row1 {
-        for x in 0..geom.out_w {
-            out[y * geom.out_w + x] = (rule.elem)(&env, x, y);
+        compute_span(rule, &env, 0, y, &mut out[y * geom.out_w..(y + 1) * geom.out_w]);
+    }
+}
+
+/// Compute output cells `[x0, x0 + out.len())` of row `y`: one call of the
+/// rule's row body when it has one, otherwise one `elem` call per cell.
+fn compute_span(rule: &StencilRule, env: &StencilEnv<'_>, x0: usize, y: usize, out: &mut [f64]) {
+    match &rule.row {
+        Some(row) => row(env, x0, y, out),
+        None => {
+            for (dx, cell) in out.iter_mut().enumerate() {
+                *cell = (rule.elem)(env, x0 + dx, y);
+            }
         }
     }
 }
@@ -401,11 +412,9 @@ pub fn run_tiled(
                 .collect();
             // Compute phase, reading only staged data.
             let env = StencilEnv { inputs: &views, scalars };
-            for dy in 0..tile_h_out {
-                for dx in 0..tile_w_out {
-                    let (x, y) = (tx + dx, ty + dy);
-                    out[y * geom.out_w + x] = (rule.elem)(&env, x, y);
-                }
+            for y in ty..ty + tile_h_out {
+                let start = y * geom.out_w + tx;
+                compute_span(rule, &env, tx, y, &mut out[start..start + tile_w_out]);
             }
             tx += tw;
         }
@@ -463,26 +472,27 @@ pub fn decode_scalars(scalars: &[f64]) -> (Geometry, Vec<f64>) {
 pub fn make_kernel_body(rule: Arc<StencilRule>, local_memory: bool) -> Arc<dyn KernelBody> {
     Arc::new(move |bufs: &mut BufferTable, launch: &KernelLaunch| -> Result<(), GpuError> {
         let (geom, user) = decode_scalars(&launch.scalars);
-        let n = rule.inputs.len();
-        // Copy inputs out of the table (kernels read all inputs, write out).
-        let mut staged: Vec<(Vec<f64>, usize, usize)> = Vec::with_capacity(n);
-        for (k, &(w, h)) in geom.in_dims.iter().enumerate() {
-            let data = bufs.get(launch.buffers[k])?.data().to_vec();
-            if data.len() != w * h {
-                return Err(GpuError::SizeMismatch { expected: w * h, actual: data.len() });
+        // Borrow the inputs straight out of the table (kernels read all
+        // inputs, write out) and compute into a full-size scratch output;
+        // the borrows end before the output buffer is taken mutably.
+        let full = {
+            let mut inputs: Vec<RawInput<'_>> = Vec::with_capacity(geom.in_dims.len());
+            for (k, &(w, h)) in geom.in_dims.iter().enumerate() {
+                let data = bufs.get(launch.buffers[k])?.data();
+                if data.len() != w * h {
+                    return Err(GpuError::SizeMismatch { expected: w * h, actual: data.len() });
+                }
+                inputs.push((data, w, h));
             }
-            staged.push((data, w, h));
-        }
-        let inputs: Vec<RawInput<'_>> =
-            staged.iter().map(|(d, w, h)| (d.as_slice(), *w, *h)).collect();
-        // Compute into a full-size scratch output, then copy the launch's
-        // row range into the (range-sized) output buffer.
-        let mut full = vec![0.0; geom.out_w * geom.out_h];
-        if local_memory {
-            run_tiled(&rule, &inputs, &user, &mut full, &geom);
-        } else {
-            run_global(&rule, &inputs, &user, &mut full, &geom);
-        }
+            let mut full = vec![0.0; geom.out_w * geom.out_h];
+            if local_memory {
+                run_tiled(&rule, &inputs, &user, &mut full, &geom);
+            } else {
+                run_global(&rule, &inputs, &user, &mut full, &geom);
+            }
+            full
+        };
+        // Copy the launch's row range into the (range-sized) output buffer.
         // The output buffer follows the *matrix* arguments (a rule may
         // declare several reads of the same matrix).
         let out_buf = bufs.get_mut(launch.buffers[geom.in_dims.len()])?;
@@ -511,6 +521,7 @@ mod tests {
                 let k = env.scalars[0] as usize;
                 (0..k).map(|i| env.inputs[0].at(x + i, y)).sum()
             }),
+            row: None,
             native_only_body: false,
         }
     }
@@ -549,6 +560,43 @@ mod tests {
         assert_eq!(out[0], 0.0, "row 0 untouched");
         assert_eq!(out[g.out_w], 3.0, "row 1 computed");
         assert_eq!(out[3 * g.out_w], 0.0, "row 3 untouched");
+    }
+
+    /// `blur_rule` with a row body that reads `(dx, dy)` past the span its
+    /// declared `Stencil { w: k, h: 1 }` allows.
+    fn overreaching_row_rule(k: usize, dx: usize, dy: usize) -> StencilRule {
+        StencilRule {
+            row: Some(Arc::new(move |env, x0, y, out| {
+                let src = env.inputs[0].row(x0, y + dy, out.len() + k - 1 + dx);
+                for (c, cell) in out.iter_mut().enumerate() {
+                    *cell = src[c..c + k].iter().sum();
+                }
+            })),
+            ..blur_rule(k)
+        }
+    }
+
+    #[test]
+    fn row_body_reading_past_its_bounding_box_panics_when_tiled() {
+        let (in_w, in_h) = (20, 6);
+        let input = vec![1.0; in_w * in_h];
+        let g = geom(in_w - 3, in_h - 1, in_w, in_h, 16);
+        let run = |rule: &StencilRule, tiled: bool| {
+            let mut out = vec![0.0; g.out_w * g.out_h];
+            let f = if tiled { run_tiled } else { run_global };
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                f(rule, &[(&input, in_w, in_h)], &[3.0], &mut out, &g);
+            }))
+            .is_ok()
+        };
+        assert!(run(&overreaching_row_rule(3, 0, 0), true), "in-bounds row body runs tiled");
+        // One column or one row past the declared box stays inside the
+        // input, so only the staged tile catches it.
+        for (dx, dy) in [(1, 0), (0, 1)] {
+            let rule = overreaching_row_rule(3, dx, dy);
+            assert!(run(&rule, false), "({dx},{dy}) overreach is inside the global input");
+            assert!(!run(&rule, true), "({dx},{dy}) overreach must panic on the staged tile");
+        }
     }
 
     #[test]

@@ -542,6 +542,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = 2.0 * IN0(x, y);".into(),
             elem: Arc::new(|env, x, y| 2.0 * env.inputs[0].at(x, y)),
+            row: None,
             native_only_body: false,
         })
     }
@@ -750,6 +751,7 @@ mod tests {
                 }
                 s
             }),
+            row: None,
             native_only_body: false,
         });
         let run_variant = |local_memory: bool| {

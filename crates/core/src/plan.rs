@@ -490,6 +490,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = IN0(x, y);".into(),
             elem: Arc::new(|env, x, y| env.inputs[0].at(x, y)),
+            row: None,
             native_only_body: false,
         })
     }

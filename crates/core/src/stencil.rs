@@ -195,6 +195,43 @@ impl View<'_> {
         }
     }
 
+    /// Borrow the `len` elements of row `y` starting at *global* column
+    /// `x` — the row-body counterpart of [`View::at`], bounds-checked once
+    /// per span instead of once per element.
+    ///
+    /// # Panics
+    /// Panics when any element of the span lies outside the view — for
+    /// tiles this means the rule body read outside its declared bounding
+    /// box, exactly as [`View::at`] reports it.
+    #[must_use]
+    pub fn row(&self, x: usize, y: usize, len: usize) -> &[f64] {
+        match self {
+            View::Full { data, cols, rows } => {
+                assert!(
+                    y < *rows && x <= *cols && len <= cols - x,
+                    "read row span ({x}..{},{y}) outside {cols}x{rows} input",
+                    x + len
+                );
+                &data[y * cols + x..][..len]
+            }
+            View::Tile { data, x0, y0, cols, rows } => {
+                assert!(
+                    x >= *x0
+                        && y >= *y0
+                        && y - y0 < *rows
+                        && x - x0 <= *cols
+                        && len <= cols - (x - x0),
+                    "read row span ({x}..{},{y}) outside staged tile [{x0}..{},{y0}..{}) — \
+                     rule body violates its declared bounding box",
+                    x + len,
+                    x0 + cols,
+                    y0 + rows
+                );
+                &data[(y - y0) * cols + (x - x0)..][..len]
+            }
+        }
+    }
+
     /// Width of the underlying *global* input (for Row/Column loops).
     #[must_use]
     pub fn width(&self) -> usize {
@@ -224,6 +261,23 @@ pub struct StencilEnv<'a> {
 /// Rule body: computes the value of output cell `(x, y)`.
 pub type ElemFn = Arc<dyn Fn(&StencilEnv<'_>, usize, usize) -> f64 + Send + Sync>;
 
+/// Row body: computes output cells `[x0, x0 + out.len())` of row `y` into
+/// `out`, called as `row(env, x0, y, out)`.
+///
+/// The contract that lets the executors call it in place of
+/// [`StencilRule::elem`]:
+///
+/// * **Same numerics.** Each cell's value comes from exactly the per-cell
+///   arithmetic of `elem`, in the same accumulation order (the same
+///   association of products, the same `.sum()` fold), so the output is
+///   bit-identical. Only the loop structure around the cells may change.
+/// * **Same reads.** Inputs are read only through [`View::row`] and
+///   [`View::at`], so a tiled (scratchpad) launch still panics when the
+///   body reaches outside its declared bounding box.
+/// * **`elem` stays the oracle.** Every rule must define `elem`; the row
+///   body is an optional specialization checked bit-for-bit against it.
+pub type RowFn = Arc<dyn Fn(&StencilEnv<'_>, usize, usize, &mut [f64]) + Send + Sync>;
+
 /// A data-parallel rule (the paper's elementwise `Rule`).
 #[derive(Clone)]
 pub struct StencilRule {
@@ -238,6 +292,13 @@ pub struct StencilRule {
     pub body_c: String,
     /// Functional implementation, semantically identical to `body_c`.
     pub elem: ElemFn,
+    /// Optional row-slice specialization of `elem` (see [`RowFn`] for the
+    /// contract). When present, `codegen::run_global` and
+    /// `codegen::run_tiled` call it once per output row (or tile row)
+    /// instead of calling `elem` once per cell; when `None` they fall back
+    /// to `elem`. It never affects virtual time: charges come from the
+    /// launch geometry, not from how the host computes the cells.
+    pub row: Option<RowFn>,
     /// True when the body contains constructs OpenCL cannot express
     /// (phase-2 rejection even if the pattern is data parallel).
     pub native_only_body: bool,
@@ -303,6 +364,7 @@ mod tests {
             flops_per_output: 1.0,
             body_c: "result = 0.0;".into(),
             elem: Arc::new(|_, _, _| 0.0),
+            row: None,
             native_only_body: native,
         }
     }
@@ -373,6 +435,31 @@ mod tests {
         assert_eq!(v.at(3, 3), 0.0);
         let r = std::panic::catch_unwind(|| v.at(0, 0));
         assert!(r.is_err(), "out-of-tile read must panic");
+    }
+
+    #[test]
+    fn full_view_row_spans_stop_at_the_edge() {
+        let data: Vec<f64> = (0..6).map(f64::from).collect();
+        let v = View::Full { data: &data, cols: 3, rows: 2 };
+        assert_eq!(v.row(0, 1, 3), &[3.0, 4.0, 5.0]);
+        assert_eq!(v.row(1, 0, 2), &[1.0, 2.0]);
+        assert!(v.row(3, 1, 0).is_empty());
+        for (x, y, len) in [(1, 0, 3), (3, 0, 1), (0, 2, 1)] {
+            let r = std::panic::catch_unwind(|| v.row(x, y, len).len());
+            assert!(r.is_err(), "span ({x}+{len},{y}) past the edge must panic");
+        }
+    }
+
+    #[test]
+    fn tile_view_row_spans_stop_at_the_bounding_box() {
+        let v =
+            View::Tile { data: (0..6).map(f64::from).collect(), x0: 4, y0: 2, cols: 3, rows: 2 };
+        assert_eq!(v.row(4, 3, 3), &[3.0, 4.0, 5.0]);
+        assert_eq!(v.row(5, 2, 2), &[1.0, 2.0]);
+        for (x, y, len) in [(5, 2, 3), (3, 2, 1), (4, 4, 1), (4, 1, 1)] {
+            let r = std::panic::catch_unwind(|| v.row(x, y, len).len());
+            assert!(r.is_err(), "span ({x}+{len},{y}) outside the tile must panic");
+        }
     }
 
     #[test]

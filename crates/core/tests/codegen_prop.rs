@@ -28,7 +28,27 @@ fn box_rule(bw: usize, bh: usize) -> StencilRule {
             }
             acc
         }),
+        row: None,
         native_only_body: false,
+    }
+}
+
+/// `box_rule` with a row body: the same per-cell `(j, i)` accumulation
+/// with the span's cells innermost.
+fn box_row_rule(bw: usize, bh: usize) -> StencilRule {
+    StencilRule {
+        row: Some(Arc::new(move |env, x0, y, out| {
+            out.fill(0.0);
+            for j in 0..bh {
+                let src = env.inputs[0].row(x0, y + j, out.len() + bw - 1);
+                for i in 0..bw {
+                    for (acc, &v) in out.iter_mut().zip(&src[i..]) {
+                        *acc += v;
+                    }
+                }
+            }
+        })),
+        ..box_rule(bw, bh)
     }
 }
 
@@ -61,7 +81,14 @@ proptest! {
         let mut b = vec![0.0; out_w * out_h];
         run_global(&rule, &[(&input, in_w, in_h)], &[], &mut a, &geom);
         run_tiled(&rule, &[(&input, in_w, in_h)], &[], &mut b, &geom);
-        prop_assert_eq!(a, b, "staging must be bit-transparent");
+        prop_assert_eq!(&a, &b, "staging must be bit-transparent");
+        // The row-body path matches the per-cell oracle on both variants.
+        let row_rule = box_row_rule(bw, bh);
+        for run in [run_global, run_tiled] {
+            let mut c = vec![0.0; out_w * out_h];
+            run(&row_rule, &[(&input, in_w, in_h)], &[], &mut c, &geom);
+            prop_assert_eq!(&a, &c, "row body must match elem");
+        }
     }
 
     #[test]
