@@ -74,12 +74,6 @@ impl SeparableConvolution {
         SeparableConvolution { n, k }
     }
 
-    /// Kernel width.
-    #[must_use]
-    pub fn kernel_width(&self) -> usize {
-        self.k
-    }
-
     /// The `Convolve2D` rule of Fig. 1: one `k × k` stencil pass.
     #[must_use]
     pub fn rule_2d(k: usize) -> Arc<StencilRule> {

@@ -90,12 +90,6 @@ impl Matrix {
         &mut self.data
     }
 
-    /// Consume into the backing buffer.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// One row as a slice.
     ///
     /// # Panics

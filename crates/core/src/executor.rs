@@ -81,16 +81,15 @@ impl ExecReport {
 pub struct Executor {
     machine: MachineProfile,
     device: Option<Device>,
-    workers: usize,
     seed: u64,
-    sched_policy: Option<petal_rt::SchedPolicy>,
+    sched_policy: petal_rt::SchedPolicy,
 }
 
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
             .field("machine", &self.machine.codename)
-            .field("workers", &self.workers)
+            .field("workers", &self.machine.cpu.cores)
             .finish_non_exhaustive()
     }
 }
@@ -103,9 +102,8 @@ impl Executor {
         Executor {
             machine: machine.clone(),
             device: machine.gpu.clone().map(Device::new),
-            workers: machine.cpu.cores,
             seed: 0x5eed,
-            sched_policy: None,
+            sched_policy: petal_rt::SchedPolicy::Incremental,
         }
     }
 
@@ -115,25 +113,14 @@ impl Executor {
         self
     }
 
-    /// Pin the scheduling-core implementation instead of the process
-    /// default. The two policies are bit-identical in behavior (the
-    /// determinism audit in `petal_analysis` proves it on verifier-clean
-    /// plans); this knob exists so that proof can run both sides
-    /// explicitly.
+    /// Choose the scheduling-core implementation (default
+    /// [`Incremental`](petal_rt::SchedPolicy::Incremental)). The two
+    /// policies are bit-identical in behavior (the determinism audit in
+    /// `petal_analysis` proves it on verifier-clean plans); this knob
+    /// exists so that proof, and `bench_hotpath`'s before/after columns,
+    /// can run both sides explicitly.
     pub fn set_sched_policy(&mut self, policy: petal_rt::SchedPolicy) -> &mut Self {
-        self.sched_policy = Some(policy);
-        self
-    }
-
-    /// Override the CPU worker count.
-    pub fn set_workers(&mut self, workers: usize) -> &mut Self {
-        self.workers = workers.max(1);
-        self
-    }
-
-    /// Replace the device (e.g. one with the IR cache disabled).
-    pub fn set_device(&mut self, device: Option<Device>) -> &mut Self {
-        self.device = device;
+        self.sched_policy = policy;
         self
     }
 
@@ -183,11 +170,13 @@ impl Executor {
         let mut compile_secs = 0.0;
         let lazy_before = world.lazy_pulls;
 
-        let mut engine: Engine<World> =
-            Engine::with_device_and_workers(&self.machine, self.workers, device, self.seed);
-        if let Some(policy) = self.sched_policy {
-            engine.set_sched_policy(policy);
-        }
+        let mut engine: Engine<World> = Engine::with_device_and_workers(
+            &self.machine,
+            self.machine.cpu.cores,
+            device,
+            self.seed,
+        );
+        engine.set_sched_policy(self.sched_policy);
 
         let (steps, _outputs) = plan.into_steps();
         // Native steps (the overwhelming majority in recursive plans) lower

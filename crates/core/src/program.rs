@@ -147,13 +147,12 @@ pub struct RuleId(usize);
 /// decide which to use.
 #[derive(Debug, Clone, Default)]
 pub struct ChoiceDependencyGraph {
-    data_names: Vec<String>,
+    data_count: usize,
     rules: Vec<RuleEdge>,
 }
 
 #[derive(Debug, Clone)]
 struct RuleEdge {
-    name: String,
     inputs: Vec<DataId>,
     output: DataId,
 }
@@ -166,14 +165,14 @@ impl ChoiceDependencyGraph {
     }
 
     /// Add a datum vertex.
-    pub fn add_data(&mut self, name: &str) -> DataId {
-        self.data_names.push(name.into());
-        DataId(self.data_names.len() - 1)
+    pub fn add_data(&mut self) -> DataId {
+        self.data_count += 1;
+        DataId(self.data_count - 1)
     }
 
     /// Add a rule hyperedge producing `output` from `inputs`.
-    pub fn add_rule(&mut self, name: &str, inputs: &[DataId], output: DataId) -> RuleId {
-        self.rules.push(RuleEdge { name: name.into(), inputs: inputs.to_vec(), output });
+    pub fn add_rule(&mut self, inputs: &[DataId], output: DataId) -> RuleId {
+        self.rules.push(RuleEdge { inputs: inputs.to_vec(), output });
         RuleId(self.rules.len() - 1)
     }
 
@@ -186,18 +185,6 @@ impl ChoiceDependencyGraph {
             .filter(|(_, r)| r.output == d)
             .map(|(i, _)| RuleId(i))
             .collect()
-    }
-
-    /// Rule name.
-    #[must_use]
-    pub fn rule_name(&self, r: RuleId) -> &str {
-        &self.rules[r.0].name
-    }
-
-    /// Datum name.
-    #[must_use]
-    pub fn data_name(&self, d: DataId) -> &str {
-        &self.data_names[d.0]
     }
 
     /// Topologically order the given rule choices (one chosen rule per
@@ -251,13 +238,13 @@ mod tests {
     /// either by one 2D pass or by two 1D passes through a buffer.
     fn separable_graph() -> (ChoiceDependencyGraph, DataId, Vec<RuleId>) {
         let mut g = ChoiceDependencyGraph::new();
-        let input = g.add_data("In");
-        let kernel = g.add_data("Kernel");
-        let buffer = g.add_data("buffer");
-        let out = g.add_data("Out");
-        let conv2d = g.add_rule("Convolve2D", &[input, kernel], out);
-        let rows = g.add_rule("ConvolveRows", &[input, kernel], buffer);
-        let cols = g.add_rule("ConvolveColumns", &[buffer, kernel], out);
+        let input = g.add_data();
+        let kernel = g.add_data();
+        let buffer = g.add_data();
+        let out = g.add_data();
+        let conv2d = g.add_rule(&[input, kernel], out);
+        let rows = g.add_rule(&[input, kernel], buffer);
+        let cols = g.add_rule(&[buffer, kernel], out);
         (g, out, vec![conv2d, rows, cols])
     }
 
@@ -284,10 +271,10 @@ mod tests {
     #[test]
     fn schedule_detects_cycles() {
         let mut g = ChoiceDependencyGraph::new();
-        let a = g.add_data("a");
-        let b = g.add_data("b");
-        let r1 = g.add_rule("r1", &[a], b);
-        let r2 = g.add_rule("r2", &[b], a);
+        let a = g.add_data();
+        let b = g.add_data();
+        let r1 = g.add_rule(&[a], b);
+        let r2 = g.add_rule(&[b], a);
         assert!(g.schedule(&[r1, r2]).is_none());
     }
 

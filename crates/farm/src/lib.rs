@@ -263,18 +263,9 @@ impl EvalFarm {
     /// process.
     #[must_use]
     pub fn new(settings: &FarmSettings, model_process_restarts: bool) -> Self {
-        let threads = settings.resolved_threads().max(1);
-        let shards = settings.shards;
-        let workers = if settings.endpoint.is_some() {
-            1
-        } else if shards > 0 {
-            shards
-        } else {
-            threads
-        };
-        EvalFarm {
-            threads,
-            shards,
+        let mut farm = EvalFarm {
+            threads: settings.resolved_threads().max(1),
+            shards: settings.shards,
             shard_bin: settings.shard_bin.clone(),
             endpoint: settings.endpoint.clone(),
             pool: None,
@@ -283,8 +274,10 @@ impl EvalFarm {
             warm: HashSet::new(),
             ir: HashSet::new(),
             inputs: InputCache::new(),
-            per_thread_trials: vec![0; workers],
-        }
+            per_thread_trials: Vec::new(),
+        };
+        farm.reset();
+        farm
     }
 
     /// Enable or disable the modeled persistent IR cache (§5.4 ablation).

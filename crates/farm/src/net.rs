@@ -25,7 +25,8 @@
 //! a dead primary dispatcher or fails over from a served registry to
 //! its local directory mirror.
 
-use std::io::{self, Read, Write};
+use crate::wire::{LineReader, LineWriter};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -361,6 +362,18 @@ impl FarmStream {
             FarmStream::Tcp(s) => FarmStream::Tcp(s.try_clone()?),
             FarmStream::Unix(s) => FarmStream::Unix(s.try_clone()?),
         })
+    }
+
+    /// Split into the wire's line-framed halves: a buffered reader and a
+    /// writer on an independent handle to the same connection.
+    ///
+    /// # Errors
+    /// The underlying `dup(2)` failure.
+    pub fn into_lines(
+        self,
+    ) -> io::Result<(LineReader<BufReader<FarmStream>>, LineWriter<FarmStream>)> {
+        let writer = LineWriter::new(self.try_clone()?);
+        Ok((LineReader::new(BufReader::new(self)), writer))
     }
 
     /// Shut down both directions, unblocking any thread reading the peer.

@@ -31,11 +31,12 @@ use crate::dispatch::Dispatch;
 use crate::net::{Endpoint, FarmStream};
 use crate::shard::ShardError;
 use crate::wire::{
-    negotiate, Message, WireEncoder, MIN_WIRE_VERSION, RESUME_WIRE_VERSION, WIRE_VERSION,
+    client_hello, HandshakeError, LineReader, LineWriter, Message, RESUME_WIRE_VERSION,
+    WIRE_VERSION,
 };
 use crate::{EvalJob, JobOutcome};
 use petal_gpu::profile::MachineProfile;
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::time::{Duration, Instant};
 
 /// How long [`RemotePool::connect`] keeps retrying an endpoint that is
@@ -65,11 +66,8 @@ enum ResumeFail {
 /// A connected, initialized client session against a `petal-farmd`
 /// dispatcher, usable as the farm's dispatch backend.
 pub struct RemotePool {
-    reader: BufReader<FarmStream>,
-    writer: FarmStream,
-    enc: WireEncoder,
-    line_out: String,
-    line_in: String,
+    reader: LineReader<BufReader<FarmStream>>,
+    writer: LineWriter<FarmStream>,
     /// Session key: the benchmark spec and machine the dispatcher was
     /// initialized with; a mismatch forces a fresh session.
     key: (String, MachineProfile),
@@ -109,36 +107,19 @@ impl RemotePool {
         let endpoint = Endpoint::parse(endpoint_str).map_err(ShardError::new)?;
         let stream = FarmStream::connect_retry(&endpoint, CONNECT_PATIENCE)
             .map_err(|e| ShardError::new(format!("connecting to farmd at {endpoint}: {e}")))?;
-        let writer = stream
-            .try_clone()
+        let (reader, writer) = stream
+            .into_lines()
             .map_err(|e| ShardError::new(format!("cloning farmd connection at {endpoint}: {e}")))?;
         let mut pool = RemotePool {
-            reader: BufReader::new(stream),
+            reader,
             writer,
-            enc: WireEncoder::default(),
-            line_out: String::new(),
-            line_in: String::new(),
             key: (bench_spec.to_owned(), machine.clone()),
             endpoint,
             token: None,
             base: 0,
         };
-
-        // HELLO exchange: both sides advertise their supported range and
-        // settle on the highest common version (or fail with a version
-        // diagnostic, never a parse error).
-        pool.send(&Message::hello())?;
-        let negotiated = match pool.recv()? {
-            Message::Hello { min_version, max_version } => {
-                negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))?
-            }
-            Message::Goodbye { reason } => {
-                return Err(ShardError::new(format!("farmd rejected the connection: {reason}")));
-            }
-            other => {
-                return Err(ShardError::new(format!("farmd answered HELLO with {other:?}")));
-            }
-        };
+        let negotiated = client_hello(&mut pool.writer, &mut pool.reader)
+            .map_err(|e| ShardError::new(format!("farmd at {}: {e}", pool.endpoint)))?;
 
         // Session handshake, same as a pipe worker: INIT → READY.
         pool.send(&Message::Init {
@@ -207,40 +188,30 @@ impl RemotePool {
     /// `SESSION`. Leaves the fresh connection installed on success.
     fn try_resume(&mut self, token: u64, nonce: u64) -> Result<(), ResumeFail> {
         let transient = |e: ShardError| ResumeFail::Transient(e);
-        let stream = FarmStream::connect(&self.endpoint).map_err(|e| {
-            ResumeFail::Transient(ShardError::new(format!(
-                "reconnecting to farmd at {}: {e}",
-                self.endpoint
-            )))
-        })?;
-        let writer = stream.try_clone().map_err(|e| {
-            ResumeFail::Transient(ShardError::new(format!(
-                "cloning farmd connection at {}: {e}",
-                self.endpoint
-            )))
-        })?;
-        // Install the fresh streams before the handshake so `send`/`recv`
+        let (reader, writer) =
+            FarmStream::connect(&self.endpoint).and_then(FarmStream::into_lines).map_err(|e| {
+                transient(ShardError::new(format!(
+                    "reconnecting to farmd at {}: {e}",
+                    self.endpoint
+                )))
+            })?;
+        // Install the fresh halves before the handshake so `send`/`recv`
         // use them; a failed handshake just leaves them to be replaced by
         // the next attempt.
-        self.reader = BufReader::new(stream);
+        self.reader = reader;
         self.writer = writer;
-        self.send(&Message::hello()).map_err(transient)?;
-        match self.recv().map_err(transient)? {
-            Message::Hello { min_version, max_version } => {
-                let v = negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))
-                    .map_err(|e| ResumeFail::Fatal(ShardError::from(e)))?;
-                if v < RESUME_WIRE_VERSION {
-                    return Err(ResumeFail::Fatal(ShardError::new(format!(
-                        "farmd at {} no longer speaks a resume-capable wire version",
-                        self.endpoint
-                    ))));
-                }
+        let v = client_hello(&mut self.writer, &mut self.reader).map_err(|e| {
+            let e_at = ShardError::new(format!("farmd at {} during resume: {e}", self.endpoint));
+            match e {
+                HandshakeError::Skew(_) => ResumeFail::Fatal(e_at),
+                _ => ResumeFail::Transient(e_at),
             }
-            other => {
-                return Err(ResumeFail::Transient(ShardError::new(format!(
-                    "farmd answered HELLO with {other:?} during resume"
-                ))));
-            }
+        })?;
+        if v < RESUME_WIRE_VERSION {
+            return Err(ResumeFail::Fatal(ShardError::new(format!(
+                "farmd at {} no longer speaks a resume-capable wire version",
+                self.endpoint
+            ))));
         }
         self.send(&Message::Resume { token, nonce }).map_err(transient)?;
         match self.recv().map_err(transient)? {
@@ -265,32 +236,18 @@ impl RemotePool {
     }
 
     fn send(&mut self, msg: &Message) -> Result<(), ShardError> {
-        self.enc.encode_into(msg, &mut self.line_out);
-        self.line_out.push('\n');
         self.writer
-            .write_all(self.line_out.as_bytes())
-            .and_then(|()| self.writer.flush())
+            .send(msg)
             .map_err(|e| ShardError::new(format!("writing to farmd at {}: {e}", self.endpoint)))
     }
 
     fn recv(&mut self) -> Result<Message, ShardError> {
-        loop {
-            self.line_in.clear();
-            let n = self.reader.read_line(&mut self.line_in).map_err(|e| {
-                ShardError::new(format!("reading from farmd at {}: {e}", self.endpoint))
-            })?;
-            if n == 0 {
-                return Err(ShardError::new(format!(
-                    "farmd at {} closed the connection",
-                    self.endpoint
-                )));
-            }
-            match Message::decode(self.line_in.trim_end_matches('\n'))? {
-                // Liveness chatter is legal on any socket; clients ignore it.
-                Message::Heartbeat { .. } => {}
-                msg => return Ok(msg),
-            }
-        }
+        self.reader
+            .recv()
+            .map_err(|e| ShardError::new(format!("reading from farmd at {}: {e}", self.endpoint)))?
+            .ok_or_else(|| {
+                ShardError::new(format!("farmd at {} closed the connection", self.endpoint))
+            })
     }
 }
 
@@ -299,9 +256,7 @@ impl Drop for RemotePool {
         // Best-effort graceful close so the dispatcher retires the
         // session instead of logging a dropped client.
         let _ = self.send(&Message::Done);
-        if let Ok(s) = self.reader.get_ref().try_clone() {
-            s.shutdown();
-        }
+        self.writer.get_ref().shutdown();
     }
 }
 

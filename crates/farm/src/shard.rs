@@ -24,11 +24,11 @@
 //! last failed worker and the jobs still outstanding, so the caller can
 //! respawn a pool and retry.
 
-use crate::wire::{Message, WireEncoder, WireError, WIRE_VERSION};
+use crate::wire::{LineReader, LineWriter, Message, WIRE_VERSION};
 use crate::{EvalJob, JobOutcome};
 use petal_gpu::profile::MachineProfile;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 
@@ -80,12 +80,6 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-impl From<WireError> for ShardError {
-    fn from(e: WireError) -> Self {
-        ShardError::new(e.to_string())
-    }
-}
-
 fn io_err(context: &str, e: &std::io::Error) -> ShardError {
     ShardError::new(format!("{context}: {e}"))
 }
@@ -129,42 +123,28 @@ pub fn resolve_shard_bin(explicit: Option<&Path>) -> Result<PathBuf, ShardError>
     ))
 }
 
-/// One spawned worker process with buffered pipes. The encoder and both
-/// line buffers persist across jobs, so steady-state dispatch (one `JOB`
-/// out, one `RESULT` line read back per trial) allocates nothing on the
-/// parent side.
+/// One spawned worker process, framed by the wire's reusable line
+/// writer and reader, so steady-state dispatch (one `JOB` out, one
+/// `RESULT` read back per trial) allocates nothing on the parent side.
 #[derive(Debug)]
 struct Worker {
     child: Child,
-    stdin: ChildStdin,
-    stdout: BufReader<ChildStdout>,
-    enc: WireEncoder,
-    line_out: String,
-    line_in: String,
+    stdin: LineWriter<ChildStdin>,
+    stdout: LineReader<BufReader<ChildStdout>>,
 }
 
 impl Worker {
     fn send(&mut self, msg: &Message) -> Result<(), ShardError> {
-        self.enc.encode_into(msg, &mut self.line_out);
-        self.line_out.push('\n');
-        self.stdin
-            .write_all(self.line_out.as_bytes())
-            .map_err(|e| io_err("writing to shard worker", &e))
+        self.stdin.send(msg).map_err(|e| io_err("writing to shard worker", &e))
     }
 
     fn recv(&mut self) -> Result<Message, ShardError> {
-        self.line_in.clear();
-        let n = self
-            .stdout
-            .read_line(&mut self.line_in)
-            .map_err(|e| io_err("reading from shard worker", &e))?;
-        if n == 0 {
-            return Err(ShardError::new(
+        self.stdout.recv().map_err(|e| io_err("reading from shard worker", &e))?.ok_or_else(|| {
+            ShardError::new(
                 "shard worker closed its pipe early (it may have \
                  crashed; check its stderr above)",
-            ));
-        }
-        Ok(Message::decode(self.line_in.trim_end_matches('\n'))?)
+            )
+        })
     }
 }
 
@@ -174,7 +154,6 @@ impl Drop for Worker {
         // that already died is reaped all the same; errors are ignored
         // because drop runs on both success and failure paths.
         let _ = self.send(&Message::Done);
-        let _ = self.stdin.flush();
         let _ = self.child.kill();
         let _ = self.child.wait();
     }
@@ -223,14 +202,10 @@ impl ShardPool {
             };
             let mut worker = Worker {
                 child,
-                stdin,
-                stdout: BufReader::new(stdout),
-                enc: WireEncoder::default(),
-                line_out: String::new(),
-                line_in: String::new(),
+                stdin: LineWriter::new(stdin),
+                stdout: LineReader::new(BufReader::new(stdout)),
             };
             worker.send(&init).map_err(|e| at(e.message))?;
-            worker.stdin.flush().map_err(|e| at(format!("flushing INIT: {e}")))?;
             match worker.recv().map_err(|e| at(e.message))? {
                 Message::Ready { version } if version == WIRE_VERSION => {}
                 Message::Ready { version } => {

@@ -20,6 +20,11 @@
 //! * **Escaping keeps records line-delimited.** Field bytes escape `\`,
 //!   `\n` and `\r` as `\\`, `\n`, `\r` (two characters each), so a record
 //!   never contains a literal newline and a transport can frame on lines.
+//!   [`LineWriter`] and [`LineReader`] are that framing — the one
+//!   implementation every pipe and socket peer in the workspace sends and
+//!   receives through (only `petal-farmd`'s reader differs: it must keep a
+//!   partial line across socket read timeouts) — and [`client_hello`] is
+//!   the one dialing-side `HELLO` exchange.
 //! * **Exact floats.** `f64` values travel as exact IEEE-754 bit
 //!   patterns (`0x` + 16 hex digits, the shared
 //!   [`petal_apps::spec_f64`] codec) — determinism across the process
@@ -81,6 +86,7 @@ use crate::{EvalJob, JobOutcome};
 use petal_core::Config;
 use petal_gpu::profile::{CpuProfile, GpuProfile, MachineProfile};
 use std::fmt;
+use std::io::{self, BufRead, Write};
 
 /// Protocol version spoken by this build (bumped on any wire change).
 /// Version 2 added the socket-served farm records (`HELLO`, `REGISTER`,
@@ -830,6 +836,158 @@ fn decode_machine(r: &mut FieldReader<'_>) -> Result<MachineProfile, WireError> 
     Ok(MachineProfile { codename, os, opencl_runtime, cpu, gpu })
 }
 
+/// The sending half of a wire channel: frames each [`Message`] as one
+/// `\n`-terminated line on any byte sink (a child's stdin, a socket, an
+/// in-memory buffer).
+///
+/// The encoder and line buffer are reused across messages, so a steady
+/// stream of `JOB`s or `RESULT`s allocates nothing. Each
+/// [`send`](Self::send) is exactly one `write_all` of the whole line
+/// followed by a `flush` — no extra buffering layer — so records never
+/// interleave when the writer sits behind a mutex, and a pipe peer sees
+/// every record as soon as it is sent.
+#[derive(Debug)]
+pub struct LineWriter<W: Write> {
+    inner: W,
+    enc: WireEncoder,
+    line: String,
+}
+
+impl<W: Write> LineWriter<W> {
+    /// Frame messages onto `inner`.
+    pub fn new(inner: W) -> Self {
+        LineWriter { inner, enc: WireEncoder::default(), line: String::new() }
+    }
+
+    /// Encode `msg` and write it as one line.
+    ///
+    /// # Errors
+    /// The sink's write or flush failure.
+    pub fn send(&mut self, msg: &Message) -> io::Result<()> {
+        self.enc.encode_into(msg, &mut self.line);
+        self.line.push('\n');
+        self.inner.write_all(self.line.as_bytes())?;
+        self.inner.flush()
+    }
+
+    /// The underlying sink (e.g. to shut a socket down).
+    pub fn get_ref(&self) -> &W {
+        &self.inner
+    }
+}
+
+/// The receiving half of a wire channel: reads one line per record from
+/// any buffered source, reusing one line buffer.
+#[derive(Debug)]
+pub struct LineReader<R: BufRead> {
+    inner: R,
+    line: String,
+}
+
+impl<R: BufRead> LineReader<R> {
+    /// Read records from `inner`.
+    pub fn new(inner: R) -> Self {
+        LineReader { inner, line: String::new() }
+    }
+
+    /// The next raw line with its `\n`/`\r` terminator stripped, or
+    /// `None` on a clean EOF (at a record boundary). For callers that
+    /// must look at a record before decoding it, such as a pipe worker
+    /// checking an `INIT`'s version field.
+    ///
+    /// # Errors
+    /// The source's read failure, or `UnexpectedEof` for a torn final
+    /// line (bytes without a newline): a peer that died mid-write.
+    pub fn recv_line(&mut self) -> io::Result<Option<&str>> {
+        self.line.clear();
+        if self.inner.read_line(&mut self.line)? == 0 {
+            return Ok(None);
+        }
+        if !self.line.ends_with('\n') {
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("torn record: {} bytes without a newline", self.line.len()),
+            ));
+        }
+        Ok(Some(self.line.trim_end_matches(['\n', '\r'])))
+    }
+
+    /// The next decoded message, skipping `HEARTBEAT`s (liveness chatter
+    /// is legal on any connection and carries nothing to act on), or
+    /// `None` on a clean EOF.
+    ///
+    /// # Errors
+    /// Everything [`recv_line`](Self::recv_line) reports, plus
+    /// `InvalidData` wrapping the [`WireError`] of a line that does not
+    /// decode.
+    pub fn recv(&mut self) -> io::Result<Option<Message>> {
+        loop {
+            let Some(line) = self.recv_line()? else { return Ok(None) };
+            match Message::decode(line)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            {
+                Message::Heartbeat { .. } => {}
+                msg => return Ok(Some(msg)),
+            }
+        }
+    }
+}
+
+/// Why a client `HELLO` exchange ([`client_hello`]) failed. Callers
+/// treat the kinds differently: a resuming client retries
+/// [`Io`](Self::Io) and gives up on [`Skew`](Self::Skew), a worker
+/// reconnects after `Io` but exits on the rest.
+#[derive(Debug)]
+pub enum HandshakeError {
+    /// The connection failed, closed, or carried an undecodable record.
+    Io(io::Error),
+    /// The peer answered `GOODBYE`: a refusal, with its reason.
+    Refused(String),
+    /// The peer answered with some record other than `HELLO`.
+    Unexpected(Message),
+    /// The advertised version ranges do not overlap.
+    Skew(WireError),
+}
+
+impl fmt::Display for HandshakeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            HandshakeError::Io(e) => write!(f, "HELLO exchange failed: {e}"),
+            HandshakeError::Refused(reason) => write!(f, "peer rejected the connection: {reason}"),
+            HandshakeError::Unexpected(msg) => write!(f, "peer answered HELLO with {msg:?}"),
+            HandshakeError::Skew(e) => write!(f, "{e}"),
+        }
+    }
+}
+
+impl std::error::Error for HandshakeError {}
+
+/// Open a socket connection as the dialing side: send this build's
+/// `HELLO`, expect the peer's, and settle the highest common version
+/// ([`negotiate`]). Returns the negotiated version; callers that need a
+/// newer floor (resume, the registry records) check it themselves.
+///
+/// # Errors
+/// See [`HandshakeError`].
+pub fn client_hello<W: Write, R: BufRead>(
+    writer: &mut LineWriter<W>,
+    reader: &mut LineReader<R>,
+) -> Result<u64, HandshakeError> {
+    writer.send(&Message::hello()).map_err(HandshakeError::Io)?;
+    match reader.recv().map_err(HandshakeError::Io)? {
+        Some(Message::Hello { min_version, max_version }) => {
+            negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))
+                .map_err(HandshakeError::Skew)
+        }
+        Some(Message::Goodbye { reason }) => Err(HandshakeError::Refused(reason)),
+        Some(other) => Err(HandshakeError::Unexpected(other)),
+        None => Err(HandshakeError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            "connection closed before HELLO",
+        ))),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1048,6 +1206,92 @@ mod tests {
             Message::Hello { min_version: 1, max_version: 9 } => {}
             other => panic!("wrong decode: {other:?}"),
         }
+    }
+
+    #[test]
+    fn line_writer_and_reader_round_trip_through_one_reused_channel() {
+        let mut config = Config::new();
+        config.set_selector("sort", Selector::new(vec![64, 4096], vec![2, 0, 1], 3));
+        let messages = vec![
+            Message::Init {
+                version: WIRE_VERSION,
+                bench_spec: "sort n=4096".to_owned(),
+                machine: Box::new(MachineProfile::desktop()),
+            },
+            Message::Job {
+                index: 0,
+                job: EvalJob { config: config.clone(), size: 64, engine_seed: 1 },
+            },
+            Message::Job { index: 1, job: EvalJob { config, size: 4096, engine_seed: 2 } },
+            Message::Goodbye { reason: "two\nlines".to_owned() },
+            Message::Done,
+        ];
+        let mut writer = LineWriter::new(Vec::new());
+        for msg in &messages {
+            writer.send(msg).expect("in-memory write");
+        }
+        let expected: String = messages.iter().map(|m| m.encode() + "\n").collect();
+        assert_eq!(writer.get_ref().as_slice(), expected.as_bytes());
+
+        let mut reader = LineReader::new(writer.get_ref().as_slice());
+        for msg in &messages {
+            assert_eq!(reader.recv().expect("reads").as_ref(), Some(msg));
+        }
+        assert!(reader.recv().expect("clean EOF").is_none());
+    }
+
+    #[test]
+    fn reader_tolerates_crlf_skips_heartbeats_and_reports_clean_eof() {
+        let input = "HEARTBEAT 1:0\r\nREADY 1:4\r\nHEARTBEAT 1:1\nHEARTBEAT 1:2\nDONE\n";
+        let mut reader = LineReader::new(input.as_bytes());
+        assert_eq!(reader.recv().expect("reads"), Some(Message::Ready { version: 4 }));
+        assert_eq!(reader.recv().expect("reads"), Some(Message::Done));
+        assert_eq!(reader.recv().expect("clean EOF"), None);
+        assert_eq!(reader.recv().expect("EOF stays EOF"), None);
+        // The raw accessor strips terminators but skips nothing.
+        let mut raw = LineReader::new(input.as_bytes());
+        assert_eq!(raw.recv_line().expect("reads"), Some("HEARTBEAT 1:0"));
+    }
+
+    #[test]
+    fn torn_final_line_is_an_error_not_a_message() {
+        // `DONE` would decode; without its newline the peer died mid-write.
+        let mut reader = LineReader::new("READY 1:4\nDONE".as_bytes());
+        assert_eq!(reader.recv().expect("whole line"), Some(Message::Ready { version: 4 }));
+        let e = reader.recv().expect_err("torn tail");
+        assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof, "{e}");
+        assert!(e.to_string().contains("torn record"), "{e}");
+
+        let e = LineReader::new("JOB 1:x\n".as_bytes()).recv().expect_err("undecodable");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+    }
+
+    #[test]
+    fn client_hello_negotiates_or_reports_refusal_and_confusion() {
+        let shake = |reply: &Message| {
+            let mut writer = LineWriter::new(Vec::new());
+            let input = reply.encode() + "\n";
+            let result = client_hello(&mut writer, &mut LineReader::new(input.as_bytes()));
+            assert_eq!(writer.get_ref().as_slice(), (Message::hello().encode() + "\n").as_bytes());
+            result
+        };
+        let peer = Message::Hello { min_version: 2, max_version: WIRE_VERSION + 3 };
+        assert_eq!(shake(&peer).expect("negotiates"), WIRE_VERSION);
+
+        let refusal = Message::Goodbye { reason: "draining".to_owned() };
+        match shake(&refusal) {
+            Err(HandshakeError::Refused(reason)) => assert_eq!(reason, "draining"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+
+        match shake(&Message::Ready { version: WIRE_VERSION }) {
+            Err(HandshakeError::Unexpected(Message::Ready { .. })) => {}
+            other => panic!("expected an unexpected-record error, got {other:?}"),
+        }
+
+        let future =
+            Message::Hello { min_version: WIRE_VERSION + 1, max_version: WIRE_VERSION + 2 };
+        assert!(matches!(shake(&future), Err(HandshakeError::Skew(_))));
     }
 
     #[test]

@@ -5,17 +5,21 @@
 //! Every connection gets one reader thread (this module) built over a
 //! socket **read timeout**: reads wake every [`READ_TIMEOUT`] to check
 //! the dispatcher's stop flag, so shutdown never waits on a silent peer.
-//! Writers live behind per-connection mutexes ([`LineWriter`]) shared
-//! with the scheduler (worker `INIT`/`JOB` sends) and with other readers
-//! (a worker's `RESULT` forwarded to a client), and every send happens
+//! That is why this reader ([`read_msg`]) is the one wire reader that is
+//! not [`petal_farm::wire::LineReader`]: a timeout can fire mid-line, so
+//! it must keep the partial line and poll the stop flag between reads,
+//! which no other peer needs. Writers are the shared
+//! [`LineWriter`], behind per-connection mutexes shared with the
+//! scheduler (worker `INIT`/`JOB` sends) and with other readers (a
+//! worker's `RESULT` forwarded to a client), and every send happens
 //! **outside** the dispatcher's global lock.
 
 use crate::Shared;
 use petal_farm::net::FarmStream;
 use petal_farm::wire::{
-    negotiate, Message, WireEncoder, WireError, MIN_WIRE_VERSION, RESUME_WIRE_VERSION, WIRE_VERSION,
+    negotiate, LineWriter, Message, WireError, MIN_WIRE_VERSION, RESUME_WIRE_VERSION, WIRE_VERSION,
 };
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -36,31 +40,10 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// handshake before being dropped as hostile/dead.
 const HANDSHAKE_PATIENCE: Duration = Duration::from_secs(10);
 
-/// The write half of one connection: a socket clone plus reusable
-/// encode buffers, behind a mutex so whole lines never interleave.
-pub(crate) struct LineWriter {
-    stream: FarmStream,
-    enc: WireEncoder,
-    line: String,
-}
-
-impl LineWriter {
-    pub(crate) fn new(stream: FarmStream) -> Self {
-        LineWriter { stream, enc: WireEncoder::default(), line: String::new() }
-    }
-
-    pub(crate) fn send(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.enc.encode_into(msg, &mut self.line);
-        self.line.push('\n');
-        self.stream.write_all(self.line.as_bytes())?;
-        self.stream.flush()
-    }
-
-    /// Unblock the connection's reader thread.
-    pub(crate) fn shutdown(&self) {
-        self.stream.shutdown();
-    }
-}
+/// The write half of one connection, behind a mutex so whole lines
+/// never interleave. Shutting its socket down unblocks the connection's
+/// reader thread.
+pub(crate) type ConnWriter = Arc<Mutex<LineWriter<FarmStream>>>;
 
 /// What one patient read produced.
 enum Incoming {
@@ -127,7 +110,7 @@ pub(crate) fn serve_conn(shared: &Arc<Shared>, stream: FarmStream, peer: &str) {
     let goodbye = |reason: String| {
         let mut w = writer.lock().expect("writer lock");
         let _ = w.send(&Message::Goodbye { reason });
-        w.shutdown();
+        w.get_ref().shutdown();
     };
 
     // Handshake: HELLO in, HELLO out, negotiate. Anything else is
@@ -221,7 +204,7 @@ fn serve_registry(
     shared: &Arc<Shared>,
     mut reader: BufReader<FarmStream>,
     mut buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &ConnWriter,
     first: Message,
     peer: &str,
 ) {
@@ -237,13 +220,13 @@ fn serve_registry(
                     let mut w = writer.lock().expect("writer lock");
                     let _ =
                         w.send(&Message::Goodbye { reason: "dispatcher shutting down".to_owned() });
-                    w.shutdown();
+                    w.get_ref().shutdown();
                     return;
                 }
                 Err(e) => {
                     let mut w = writer.lock().expect("writer lock");
                     let _ = w.send(&Message::Goodbye { reason: format!("protocol error: {e}") });
-                    w.shutdown();
+                    w.get_ref().shutdown();
                     return;
                 }
             },
@@ -254,7 +237,7 @@ fn serve_registry(
                 let mut w = writer.lock().expect("writer lock");
                 for reply in &replies {
                     if w.send(reply).is_err() {
-                        w.shutdown();
+                        w.get_ref().shutdown();
                         return;
                     }
                 }
@@ -266,7 +249,7 @@ fn serve_registry(
                 let _ = w.send(&Message::Goodbye {
                     reason: format!("unexpected {} from registry client", tag_of(&other)),
                 });
-                w.shutdown();
+                w.get_ref().shutdown();
                 return;
             }
         }
@@ -280,7 +263,7 @@ fn serve_worker(
     shared: &Arc<Shared>,
     mut reader: BufReader<FarmStream>,
     mut buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &ConnWriter,
     name: &str,
     slots: u64,
     pid: u64,
@@ -350,7 +333,7 @@ fn serve_client(
     shared: &Arc<Shared>,
     reader: BufReader<FarmStream>,
     buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &ConnWriter,
     version: u64,
     bench_spec: &str,
     machine: petal_gpu::profile::MachineProfile,
@@ -363,7 +346,7 @@ fn serve_client(
         let mut w = writer.lock().expect("writer lock");
         let _ =
             w.send(&Message::Goodbye { reason: format!("bad benchmark spec `{bench_spec}`: {e}") });
-        w.shutdown();
+        w.get_ref().shutdown();
         return;
     }
     // A client that negotiated the resume-capable wire version gets a
@@ -394,7 +377,7 @@ fn serve_resumed_client(
     shared: &Arc<Shared>,
     reader: BufReader<FarmStream>,
     buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &ConnWriter,
     token: u64,
     nonce: u64,
     peer: &str,
@@ -404,7 +387,7 @@ fn serve_resumed_client(
         Err(reason) => {
             let mut w = writer.lock().expect("writer lock");
             let _ = w.send(&Message::Goodbye { reason });
-            w.shutdown();
+            w.get_ref().shutdown();
             return;
         }
     };
@@ -432,7 +415,7 @@ fn client_loop(
     shared: &Arc<Shared>,
     mut reader: BufReader<FarmStream>,
     mut buf: Vec<u8>,
-    writer: &Arc<Mutex<LineWriter>>,
+    writer: &ConnWriter,
     session: u64,
     epoch: u64,
 ) {
@@ -450,7 +433,7 @@ fn client_loop(
                 let reason = format!("unexpected {} from client", tag_of(&other));
                 let mut w = writer.lock().expect("writer lock");
                 let _ = w.send(&Message::Goodbye { reason: reason.clone() });
-                w.shutdown();
+                w.get_ref().shutdown();
                 drop(w);
                 shared.close_session(session, &reason);
                 return;

@@ -60,7 +60,7 @@ pub mod fleet;
 mod journal;
 pub mod proxy;
 
-use conn::LineWriter;
+use conn::ConnWriter;
 use fleet::{Ack, Fleet, JobKey};
 use journal::Journal;
 use petal_farm::net::{Endpoint, FarmListener};
@@ -152,7 +152,7 @@ struct Session {
     nonce: u64,
     /// `None` while detached: the client is gone but the session (and
     /// its queued/in-flight work) survives awaiting a RESUME.
-    writer: Option<Arc<Mutex<LineWriter>>>,
+    writer: Option<ConnWriter>,
     /// Bumped on every attach. A reader thread that noticed its
     /// connection die only detaches/closes if the epoch still matches —
     /// otherwise a newer connection already owns the session.
@@ -173,7 +173,7 @@ struct Session {
 struct Inner {
     fleet: Fleet,
     /// Write handles of registered workers, by fleet id.
-    worker_writers: BTreeMap<u64, Arc<Mutex<LineWriter>>>,
+    worker_writers: BTreeMap<u64, ConnWriter>,
     sessions: BTreeMap<u64, Session>,
     next_session: u64,
     /// Unassigned jobs, FIFO; re-queued jobs go back to the *front* so
@@ -211,7 +211,7 @@ pub(crate) struct Shared {
 /// global lock.
 struct SendPlan {
     worker: u64,
-    writer: Arc<Mutex<LineWriter>>,
+    writer: ConnWriter,
     msgs: Vec<Message>,
 }
 
@@ -227,7 +227,7 @@ impl Shared {
         name: &str,
         slots: u64,
         pid: u64,
-        writer: Arc<Mutex<LineWriter>>,
+        writer: ConnWriter,
     ) -> u64 {
         let mut inner = self.inner.lock().expect("farmd lock");
         let id = inner.fleet.register(name, slots, pid, Instant::now());
@@ -297,7 +297,7 @@ impl Shared {
             if send_goodbye {
                 let _ = w.send(&Message::Goodbye { reason: reason.to_owned() });
             }
-            w.shutdown();
+            w.get_ref().shutdown();
         }
         self.notify();
     }
@@ -341,7 +341,7 @@ impl Shared {
         self: &Arc<Self>,
         bench_spec: &str,
         machine: MachineProfile,
-        writer: Arc<Mutex<LineWriter>>,
+        writer: ConnWriter,
         resumable: bool,
     ) -> (u64, u64) {
         let mut inner = self.inner.lock().expect("farmd lock");
@@ -374,7 +374,7 @@ impl Shared {
         self: &Arc<Self>,
         token: u64,
         nonce: u64,
-        writer: Arc<Mutex<LineWriter>>,
+        writer: ConnWriter,
     ) -> Result<u64, String> {
         let (old, epoch) = {
             let mut inner = self.inner.lock().expect("farmd lock");
@@ -392,7 +392,7 @@ impl Shared {
         // stalled socket the dispatcher still thinks is fine) is closed;
         // its reader thread's exit is ignored by the epoch guard.
         if let Some(old) = old {
-            old.lock().expect("writer lock").shutdown();
+            old.lock().expect("writer lock").get_ref().shutdown();
         }
         self.notify();
         Ok(epoch)
@@ -456,7 +456,7 @@ impl Shared {
     /// writer is still its current one (resumable), close it otherwise.
     /// The `Arc::ptr_eq` guard keeps a failure on a superseded writer
     /// from tearing down a freshly resumed connection.
-    fn client_writer_failed(self: &Arc<Self>, session: u64, writer: &Arc<Mutex<LineWriter>>) {
+    fn client_writer_failed(self: &Arc<Self>, session: u64, writer: &ConnWriter) {
         let close = {
             let mut inner = self.inner.lock().expect("farmd lock");
             let Some(s) = inner.sessions.get_mut(&session) else { return };
@@ -672,12 +672,7 @@ impl Inner {
         now: Instant,
         starvation: Duration,
         linger: Duration,
-    ) -> (
-        Vec<SendPlan>,
-        Vec<(u64, Arc<Mutex<LineWriter>>)>,
-        Vec<(u64, Arc<Mutex<LineWriter>>)>,
-        Vec<u64>,
-    ) {
+    ) -> (Vec<SendPlan>, Vec<(u64, ConnWriter)>, Vec<(u64, ConnWriter)>, Vec<u64>) {
         // Expiry: drain workers past the heartbeat deadline and reclaim
         // their jobs. Their connections are closed outside the lock; the
         // reader thread's EOF then removes them from the fleet.
@@ -937,7 +932,7 @@ impl Farmd {
             if graceful {
                 let _ = w.send(&Message::Goodbye { reason: "dispatcher shutting down".to_owned() });
             }
-            w.shutdown();
+            w.get_ref().shutdown();
         }
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -1003,7 +998,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
         for (id, writer) in closes {
             let mut w = writer.lock().expect("writer lock");
             let _ = w.send(&Message::Goodbye { reason: "heartbeat deadline missed".to_owned() });
-            w.shutdown();
+            w.get_ref().shutdown();
             drop(w);
             // The reader thread will observe the close and finish the
             // teardown (fleet removal) via lose_worker.
@@ -1015,7 +1010,7 @@ fn scheduler_loop(shared: &Arc<Shared>) {
                 let _ = w.send(&Message::Goodbye {
                     reason: "no workers available for queued jobs".to_owned(),
                 });
-                w.shutdown();
+                w.get_ref().shutdown();
             }
             shared.close_session(session, "starved: no workers available");
         }

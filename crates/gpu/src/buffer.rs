@@ -180,12 +180,6 @@ impl BufferTable {
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
-
-    /// Number of live buffers.
-    #[must_use]
-    pub fn live_buffers(&self) -> usize {
-        self.buffers.iter().filter(|b| b.is_some()).count()
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! that actually transforms buffer contents when the launch executes.
 
 use crate::buffer::{BufferId, BufferTable};
-use crate::compile::{CompileCache, CompileStats, KernelHandle};
+use crate::compile::{CompileCache, KernelHandle};
 use crate::cost::{self, KernelWork};
 use crate::profile::GpuProfile;
 use crate::queue::{CommandQueue, Event};
@@ -123,12 +123,6 @@ impl Device {
         self.stats
     }
 
-    /// Compilation statistics.
-    #[must_use]
-    pub fn compile_stats(&self) -> CompileStats {
-        self.compiler.stats()
-    }
-
     /// Drain the charged-compile log since the last drain (see
     /// [`CompileCache::take_compile_log`]).
     pub fn take_compile_log(&mut self) -> Vec<crate::compile::CompileEvent> {
@@ -177,14 +171,6 @@ impl Device {
     /// Allocate a device buffer (the data part of a *prepare* task).
     pub fn alloc_buffer(&mut self, len: usize) -> BufferId {
         self.buffers.alloc(len)
-    }
-
-    /// Free a device buffer.
-    ///
-    /// # Errors
-    /// [`GpuError::UnknownBuffer`] if the buffer is not live.
-    pub fn free_buffer(&mut self, id: BufferId) -> Result<(), GpuError> {
-        self.buffers.free(id)
     }
 
     /// Enqueue a non-blocking host→device write at virtual time `now`.

@@ -25,9 +25,9 @@ use crate::{
     key_hash, ConfigStore, Listing, Match, MatchTier, PutOutcome, RegistryError, StoredEntry,
 };
 use petal_farm::net::{Endpoint, FarmStream};
-use petal_farm::wire::{negotiate, Message, RegEntry, WireEncoder, MIN_WIRE_VERSION, WIRE_VERSION};
+use petal_farm::wire::{client_hello, LineReader, LineWriter, Message, RegEntry};
 use petal_gpu::profile::MachineProfile;
-use std::io::{BufRead, BufReader, Write};
+use std::io::BufReader;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -59,11 +59,8 @@ impl std::fmt::Debug for RemoteStore {
 
 /// One live negotiated session with the dispatcher.
 struct Conn {
-    reader: BufReader<FarmStream>,
-    writer: FarmStream,
-    enc: WireEncoder,
-    line_out: String,
-    line_in: String,
+    reader: LineReader<BufReader<FarmStream>>,
+    writer: LineWriter<FarmStream>,
 }
 
 impl RemoteStore {
@@ -97,66 +94,28 @@ impl RemoteStore {
     fn open_conn(&self) -> Result<Conn, RegistryError> {
         let stream = FarmStream::connect_retry(&self.endpoint, CONNECT_PATIENCE)
             .map_err(|e| self.remote_err(format!("connecting: {e}")))?;
-        let writer =
-            stream.try_clone().map_err(|e| self.remote_err(format!("cloning connection: {e}")))?;
-        let mut conn = Conn {
-            reader: BufReader::new(stream),
-            writer,
-            enc: WireEncoder::default(),
-            line_out: String::new(),
-            line_in: String::new(),
-        };
-        self.send(&mut conn, &Message::hello())?;
-        match self.recv(&mut conn)? {
-            Message::Hello { min_version, max_version } => {
-                let v = negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))
-                    .map_err(|e| self.remote_err(e.to_string()))?;
-                if v < REGISTRY_WIRE_VERSION {
-                    return Err(self.remote_err(format!(
-                        "dispatcher speaks wire v{v}, the registry service needs \
-                         v{REGISTRY_WIRE_VERSION}"
-                    )));
-                }
-            }
-            Message::Goodbye { reason } => {
-                return Err(
-                    self.remote_err(format!("dispatcher rejected the connection: {reason}"))
-                );
-            }
-            other => {
-                return Err(self.remote_err(format!("dispatcher answered HELLO with {other:?}")));
-            }
+        let (mut reader, mut writer) =
+            stream.into_lines().map_err(|e| self.remote_err(format!("cloning connection: {e}")))?;
+        let v =
+            client_hello(&mut writer, &mut reader).map_err(|e| self.remote_err(e.to_string()))?;
+        if v < REGISTRY_WIRE_VERSION {
+            return Err(self.remote_err(format!(
+                "dispatcher speaks wire v{v}, the registry service needs \
+                 v{REGISTRY_WIRE_VERSION}"
+            )));
         }
-        Ok(conn)
+        Ok(Conn { reader, writer })
     }
 
     fn send(&self, conn: &mut Conn, msg: &Message) -> Result<(), RegistryError> {
-        conn.enc.encode_into(msg, &mut conn.line_out);
-        conn.line_out.push('\n');
-        conn.writer
-            .write_all(conn.line_out.as_bytes())
-            .and_then(|()| conn.writer.flush())
-            .map_err(|e| self.remote_err(format!("writing request: {e}")))
+        conn.writer.send(msg).map_err(|e| self.remote_err(format!("writing request: {e}")))
     }
 
     fn recv(&self, conn: &mut Conn) -> Result<Message, RegistryError> {
-        loop {
-            conn.line_in.clear();
-            let n = conn
-                .reader
-                .read_line(&mut conn.line_in)
-                .map_err(|e| self.remote_err(format!("reading reply: {e}")))?;
-            if n == 0 {
-                return Err(self.remote_err("dispatcher closed the connection"));
-            }
-            match Message::decode(conn.line_in.trim_end_matches('\n'))
-                .map_err(|e| self.remote_err(e.to_string()))?
-            {
-                // Liveness chatter is legal on any socket; clients skip it.
-                Message::Heartbeat { .. } => {}
-                msg => return Ok(msg),
-            }
-        }
+        conn.reader
+            .recv()
+            .map_err(|e| self.remote_err(format!("reading reply: {e}")))?
+            .ok_or_else(|| self.remote_err("dispatcher closed the connection"))
     }
 
     /// Run one request/response exchange, connecting if needed. Any
@@ -197,9 +156,7 @@ impl Drop for RemoteStore {
         if let Ok(mut slot) = self.conn.lock() {
             if let Some(mut conn) = slot.take() {
                 let _ = self.send(&mut conn, &Message::Done);
-                if let Ok(s) = conn.reader.get_ref().try_clone() {
-                    s.shutdown();
-                }
+                conn.writer.get_ref().shutdown();
             }
         }
     }

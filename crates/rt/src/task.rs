@@ -116,7 +116,7 @@ impl<S> std::fmt::Debug for TaskKind<S> {
 /// recursive poly-algorithms and deferred continuation scheduling).
 pub struct CpuCtx<S> {
     pub(crate) now: f64,
-    pub(crate) spawned: Vec<TaskKind<S>>,
+    pub(crate) spawned: Vec<CpuFn<S>>,
     pub(crate) deps: Vec<(SpawnRef, SpawnRef)>,
     pub(crate) continuation: Option<usize>,
 }
@@ -154,18 +154,7 @@ impl<S> CpuCtx<S> {
         &mut self,
         f: impl FnOnce(&mut S, &mut CpuCtx<S>) -> Charge + Send + 'static,
     ) -> SpawnRef {
-        self.spawned.push(TaskKind::Cpu(Box::new(f)));
-        SpawnRef::Local(self.spawned.len() - 1)
-    }
-
-    /// Spawn a child GPU task; it is pushed to the bottom of the GPU
-    /// management thread's FIFO when this task finishes.
-    pub fn spawn_gpu(
-        &mut self,
-        class: GpuTaskClass,
-        f: impl FnMut(&mut S, &mut GpuCtx<'_>) -> Result<GpuOutcome, GpuError> + Send + 'static,
-    ) -> SpawnRef {
-        self.spawned.push(TaskKind::Gpu(class, Box::new(f)));
+        self.spawned.push(Box::new(f));
         SpawnRef::Local(self.spawned.len() - 1)
     }
 

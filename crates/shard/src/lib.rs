@@ -2,18 +2,18 @@
 //!
 //! The worker half of the farm's process-sharding front-end
 //! ([`petal_farm::shard`]): a tiny loop that reads
-//! [`petal_farm::wire`] messages from stdin, evaluates jobs with
+//! [`petal_farm::wire`] messages, evaluates jobs with
 //! [`petal_farm::evaluate_job`] — the *same* function the in-process farm
-//! runs on its threads — and writes raw outcomes to stdout.
+//! runs on its threads — and writes raw outcomes back.
 //!
 //! The worker is deliberately stateless with respect to the tuning run:
 //! it never sees the warm-kernel or IR-cache pricing sets (those fold over
 //! the parent's submission-order merge), so any job assignment produces
-//! bit-identical tuning results. One worker serves one
-//! `(benchmark, machine)` session, established by the `INIT` handshake;
-//! the parent respawns workers when the session changes. The session owns
-//! a [`petal_apps::InputCache`], so its trials share the benchmark's
-//! inputs and reference answers (pure functions of the spec) instead of
+//! bit-identical tuning results. Pipe mode ([`serve`], on stdin/stdout)
+//! and socket mode ([`serve_remote`]) run one serve loop: each `INIT`
+//! (re)targets the worker at a `(benchmark, machine)` session that owns a
+//! [`petal_apps::InputCache`], so its trials share the benchmark's inputs
+//! and reference answers (pure functions of the spec) instead of
 //! rebuilding them per job.
 
 #![warn(missing_docs)]
@@ -24,11 +24,11 @@ pub use remote::{serve_remote, RemoteOptions};
 
 use petal_apps::{benchmark_from_spec, Benchmark, InputCache};
 use petal_farm::wire::{
-    version_supported, Message, Record, WireEncoder, MIN_WIRE_VERSION, WIRE_VERSION,
+    version_supported, LineReader, LineWriter, Message, Record, MIN_WIRE_VERSION, WIRE_VERSION,
 };
 use petal_gpu::profile::MachineProfile;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 
 /// A fatal worker error: protocol violation, unknown benchmark spec, or a
 /// broken pipe to the parent.
@@ -50,64 +50,113 @@ pub(crate) fn err(message: impl Into<String>) -> ServeError {
     ServeError { message: message.into() }
 }
 
-/// Reusable per-session I/O buffers: one `RESULT` is encoded and one
-/// `JOB` line read back per trial, so keeping the encoder and both line
-/// buffers across the serve loop makes the steady state allocation-free.
-#[derive(Default)]
-struct SessionBufs {
-    enc: WireEncoder,
-    line_out: String,
-    line_in: String,
+/// How a [`serve_session`] ended.
+pub(crate) enum Ended {
+    /// `DONE` or `GOODBYE`: the peer dismissed this worker.
+    Dismissed(String),
+    /// Clean EOF at a record boundary.
+    Closed,
+    /// A read or write failed, or a record arrived torn or undecodable.
+    Lost(String),
 }
 
-impl SessionBufs {
-    fn send(&mut self, output: &mut impl Write, msg: &Message) -> Result<(), ServeError> {
-        self.enc.encode_into(msg, &mut self.line_out);
-        self.line_out.push('\n');
-        output
-            .write_all(self.line_out.as_bytes())
-            .and_then(|()| output.flush())
-            .map_err(|e| err(format!("writing to parent: {e}")))
-    }
-
-    /// Read one line into the reused buffer; `Ok(false)` on clean EOF.
-    fn recv_line(&mut self, input: &mut impl BufRead) -> Result<bool, ServeError> {
-        self.line_in.clear();
-        let n = input
-            .read_line(&mut self.line_in)
-            .map_err(|e| err(format!("reading from parent: {e}")))?;
-        if n == 0 {
-            return Ok(false);
-        }
-        while self.line_in.ends_with('\n') || self.line_in.ends_with('\r') {
-            self.line_in.pop();
-        }
-        Ok(true)
-    }
+/// The `(benchmark, machine)` an `INIT` targeted, with its trial inputs.
+struct Session {
+    bench: Box<dyn Benchmark>,
+    machine: MachineProfile,
+    inputs: InputCache,
 }
 
-/// Serve one shard session over a message stream: `INIT` → `READY`, then
-/// `JOB` → `RESULT` until `DONE` or EOF.
+/// The worker's one serve loop, shared by pipe and socket mode. `first`
+/// is a record the caller already read (pipe mode's `INIT`); `on_job`
+/// sees each `JOB` index before it is evaluated (socket mode's fault
+/// injection).
 ///
-/// This is the whole worker; `main` merely binds it to stdin/stdout. It
-/// is generic over the streams so tests can drive a session through
-/// in-memory buffers.
+/// * `INIT` (re)targets the session with a fresh [`InputCache`] and is
+///   answered with `READY`, echoing the peer's version: an older peer
+///   checks for its own version, and every version this build accepts is
+///   one it can serve (newer versions are pure supersets on these
+///   records).
+/// * `JOB` is evaluated inside the session's cache and answered with
+///   `RESULT`.
+/// * `DONE`/`GOODBYE` dismiss the worker; `HEARTBEAT`s never reach here.
+///
+/// # Errors
+/// Protocol violations: an unknown benchmark spec, a `JOB` before any
+/// `INIT`, or a record a worker never receives. Transport trouble is not
+/// an error but [`Ended::Lost`], which each mode maps its own way.
+pub(crate) fn serve_session<R: BufRead>(
+    reader: &mut LineReader<R>,
+    mut send: impl FnMut(&Message) -> io::Result<()>,
+    mut first: Option<Message>,
+    mut on_job: impl FnMut(u64),
+) -> Result<Ended, ServeError> {
+    let mut session: Option<Session> = None;
+    loop {
+        let next = match first.take() {
+            Some(msg) => Ok(Some(msg)),
+            None => reader.recv(),
+        };
+        let msg = match next {
+            Ok(Some(msg)) => msg,
+            Ok(None) => return Ok(Ended::Closed),
+            // A torn record is what a peer killed mid-write leaves:
+            // transport trouble, not a protocol crime.
+            Err(e) => return Ok(Ended::Lost(format!("read failed: {e}"))),
+        };
+        let reply = match msg {
+            Message::Init { version, bench_spec, machine } => {
+                let bench = benchmark_from_spec(&bench_spec)
+                    .map_err(|e| err(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
+                session = Some(Session { bench, machine: *machine, inputs: InputCache::new() });
+                Message::Ready { version }
+            }
+            Message::Job { index, job } => {
+                on_job(index);
+                let Some(s) = &session else {
+                    return Err(err(format!("JOB {index} before any INIT")));
+                };
+                let outcome =
+                    s.inputs.enter(|| petal_farm::evaluate_job(&*s.bench, &s.machine, &job));
+                Message::Result { index, outcome }
+            }
+            Message::Done => return Ok(Ended::Dismissed("peer says done".to_owned())),
+            Message::Goodbye { reason } => {
+                return Ok(Ended::Dismissed(format!("peer says goodbye: {reason}")));
+            }
+            other => return Err(err(format!("unexpected {other:?}"))),
+        };
+        if let Err(e) = send(&reply) {
+            return Ok(Ended::Lost(format!("write failed: {e}")));
+        }
+    }
+}
+
+/// Serve one pipe session: `INIT` → `READY`, then the worker's one serve
+/// loop (shared with [`serve_remote`]) until `DONE` or EOF. A later `INIT`
+/// retargets the worker at a new benchmark or machine, exactly as over a
+/// socket.
+///
+/// This is the whole pipe worker; `main` merely binds it to
+/// stdin/stdout. It is generic over the streams so tests can drive a
+/// session through in-memory buffers.
 ///
 /// # Errors
 /// On any protocol violation (bad handshake, malformed record, unknown
 /// benchmark spec) or I/O failure. The parent treats a dead worker as a
 /// fatal dispatch error, so erring out loudly is correct.
-pub fn serve(mut input: impl BufRead, mut output: impl Write) -> Result<(), ServeError> {
-    let mut bufs = SessionBufs::default();
-    if !bufs.recv_line(&mut input)? {
-        return Err(err("EOF before INIT"));
-    }
-    let first = bufs.line_in.clone();
+pub fn serve(input: impl BufRead, output: impl Write) -> Result<(), ServeError> {
+    let mut reader = LineReader::new(input);
+    let mut writer = LineWriter::new(output);
+    let first = reader
+        .recv_line()
+        .map_err(|e| err(format!("reading from parent: {e}")))?
+        .ok_or_else(|| err("EOF before INIT"))?;
     // Check the advertised version *before* decoding the full INIT: a
     // future wire version may change the INIT layout itself, and the
     // version-skew diagnostic must fire in exactly that case (a layout
     // decode error would otherwise mask it).
-    let record = Record::parse(&first).map_err(|e| err(e.to_string()))?;
+    let record = Record::parse(first).map_err(|e| err(e.to_string()))?;
     if record.tag == "INIT" {
         match record.fields.first().map(|v| v.parse::<u64>()) {
             Some(Ok(version)) if !version_supported(version) => {
@@ -120,32 +169,15 @@ pub fn serve(mut input: impl BufRead, mut output: impl Write) -> Result<(), Serv
             _ => return Err(err("INIT carries no parseable wire version")),
         }
     }
-    let (version, bench, machine): (u64, Box<dyn Benchmark>, MachineProfile) =
-        match Message::decode(&first).map_err(|e| err(e.to_string()))? {
-            Message::Init { version, bench_spec, machine } => {
-                let bench = benchmark_from_spec(&bench_spec)
-                    .map_err(|e| err(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
-                (version, bench, *machine)
-            }
-            other => return Err(err(format!("expected INIT, got {other:?}"))),
-        };
-    // Echo the parent's version: an older parent checks for its own
-    // version in READY, and every version this build accepts is one it
-    // can serve (newer versions are pure supersets on the pipe records).
-    bufs.send(&mut output, &Message::Ready { version })?;
-
-    let inputs = InputCache::new();
-    while bufs.recv_line(&mut input)? {
-        match Message::decode(&bufs.line_in).map_err(|e| err(e.to_string()))? {
-            Message::Job { index, job } => {
-                let outcome = inputs.enter(|| petal_farm::evaluate_job(&*bench, &machine, &job));
-                bufs.send(&mut output, &Message::Result { index, outcome })?;
-            }
-            Message::Done => return Ok(()),
-            other => return Err(err(format!("expected JOB or DONE, got {other:?}"))),
-        }
+    let init = match Message::decode(first).map_err(|e| err(e.to_string()))? {
+        init @ Message::Init { .. } => init,
+        other => return Err(err(format!("expected INIT, got {other:?}"))),
+    };
+    match serve_session(&mut reader, |msg| writer.send(msg), Some(init), |_| {})? {
+        // EOF without DONE: the parent died or closed early; exit quietly.
+        Ended::Dismissed(_) | Ended::Closed => Ok(()),
+        Ended::Lost(why) => Err(err(format!("pipe to parent lost: {why}"))),
     }
-    Ok(()) // EOF without DONE: parent died or closed early; exit quietly.
 }
 
 #[cfg(test)]
@@ -255,5 +287,46 @@ mod tests {
         let first = String::from_utf8(out).expect("utf8");
         let reply = Message::decode(first.lines().next().expect("one reply")).expect("decodes");
         assert_eq!(reply, Message::Ready { version: MIN_WIRE_VERSION });
+    }
+
+    /// A second `INIT` retargets a live pipe session at another benchmark
+    /// and machine — the same serve loop as socket mode, where the
+    /// dispatcher re-targets workers mid-stream.
+    #[test]
+    fn a_second_init_retargets_a_pipe_session() {
+        let targets: Vec<(Box<dyn Benchmark>, MachineProfile)> = vec![
+            (Box::new(BlackScholes::new(2_000)), MachineProfile::laptop()),
+            (benchmark_from_spec("sort n=64").expect("spec"), MachineProfile::desktop()),
+        ];
+        let mut session = String::new();
+        let mut expected = Vec::new();
+        for (i, (bench, machine)) in targets.iter().enumerate() {
+            let job = EvalJob {
+                config: bench.program(machine).default_config(machine),
+                size: bench.input_size(),
+                engine_seed: job_seed(9, 0, i as u64),
+            };
+            let init = Message::Init {
+                version: WIRE_VERSION,
+                bench_spec: bench.spec(),
+                machine: Box::new(machine.clone()),
+            };
+            let index = i as u64;
+            session += &format!("{}\n", init.encode());
+            session += &format!("{}\n", Message::Job { index, job: job.clone() }.encode());
+            expected.push(Message::Ready { version: WIRE_VERSION });
+            let outcome = petal_farm::evaluate_job(&**bench, machine, &job);
+            expected.push(Message::Result { index, outcome });
+        }
+        session += "DONE\n";
+
+        let mut out = Vec::new();
+        serve(session.as_bytes(), &mut out).expect("retargeted session succeeds");
+        let replies: Vec<Message> = String::from_utf8(out)
+            .expect("utf8")
+            .lines()
+            .map(|l| Message::decode(l).expect("decodes"))
+            .collect();
+        assert_eq!(replies, expected);
     }
 }

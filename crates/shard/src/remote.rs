@@ -1,7 +1,7 @@
 //! The remote-worker mode of `petal-shard`: connect out to a
 //! `petal-farmd` dispatcher and serve jobs over a socket.
 //!
-//! The job-serving core is identical to the pipe mode — the same
+//! The job-serving core is the pipe mode's serve loop — the same
 //! [`petal_farm::evaluate_job`] on the same `(benchmark, machine)`
 //! sessions, each with its own trial-input cache — wrapped in the socket
 //! lifecycle from `docs/farmd.md`:
@@ -26,12 +26,10 @@
 //! `REGISTER` admits this process as a brand-new worker id, and any job
 //! lost with the old connection is simply re-queued by the dispatcher.
 
-use crate::{err, ServeError};
-use petal_apps::{benchmark_from_spec, Benchmark, InputCache};
+use crate::{err, serve_session, Ended, ServeError};
 use petal_farm::net::{Endpoint, FarmStream};
-use petal_farm::wire::{negotiate, Message, WireEncoder, MIN_WIRE_VERSION, WIRE_VERSION};
-use petal_gpu::profile::MachineProfile;
-use std::io::{BufRead, BufReader, Write};
+use petal_farm::wire::{client_hello, HandshakeError, LineWriter, Message};
+use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -71,33 +69,6 @@ impl RemoteOptions {
     }
 }
 
-/// The socket's write half, shared by the serve loop (RESULTs, READYs)
-/// and the heartbeat thread. One mutex serializes whole lines, so frames
-/// never interleave.
-struct RemoteWriter {
-    stream: FarmStream,
-    enc: WireEncoder,
-    line: String,
-}
-
-impl RemoteWriter {
-    fn send(&mut self, msg: &Message) -> std::io::Result<()> {
-        self.enc.encode_into(msg, &mut self.line);
-        self.line.push('\n');
-        self.stream.write_all(self.line.as_bytes())?;
-        self.stream.flush()
-    }
-}
-
-/// How one connection to the dispatcher ended.
-enum Served {
-    /// The dispatcher dismissed this worker (`GOODBYE`/`DONE`, or it
-    /// stayed gone through a whole reconnect window): final, exit clean.
-    Dismissed(String),
-    /// EOF or a socket error: the dispatcher may be bouncing — reconnect.
-    Lost(String),
-}
-
 /// Connect to a dispatcher and serve jobs until it says goodbye.
 ///
 /// A lost connection (EOF, read/write error, torn record) is *not* the
@@ -112,21 +83,21 @@ pub fn serve_remote(opts: &RemoteOptions) -> Result<(), ServeError> {
     let mut served: u64 = 0;
     let mut reconnecting = false;
     loop {
-        match serve_once(opts, &mut served, reconnecting)? {
-            Served::Dismissed(reason) => {
+        let reason = match serve_once(opts, &mut served, reconnecting)? {
+            Ended::Dismissed(reason) => {
                 eprintln!("petal-shard[{}]: leaving the farm: {reason}", opts.name);
                 return Ok(());
             }
-            Served::Lost(reason) => {
-                eprintln!(
-                    "petal-shard[{}]: dispatcher connection lost ({reason}); reconnecting",
-                    opts.name
-                );
-                reconnecting = true;
-                // Brief pause so a crash-looping dispatcher is not hammered.
-                std::thread::sleep(Duration::from_millis(100));
-            }
-        }
+            Ended::Closed => "connection closed".to_owned(),
+            Ended::Lost(reason) => reason,
+        };
+        eprintln!(
+            "petal-shard[{}]: dispatcher connection lost ({reason}); reconnecting",
+            opts.name
+        );
+        reconnecting = true;
+        // Brief pause so a crash-looping dispatcher is not hammered.
+        std::thread::sleep(Duration::from_millis(100));
     }
 }
 
@@ -138,65 +109,39 @@ fn serve_once(
     opts: &RemoteOptions,
     served: &mut u64,
     reconnecting: bool,
-) -> Result<Served, ServeError> {
+) -> Result<Ended, ServeError> {
     let endpoint = Endpoint::parse(&opts.endpoint).map_err(err)?;
     let stream = match FarmStream::connect_retry(&endpoint, opts.patience) {
         Ok(s) => s,
         Err(e) if reconnecting => {
-            return Ok(Served::Dismissed(format!("dispatcher did not come back: {e}")));
+            return Ok(Ended::Dismissed(format!("dispatcher did not come back: {e}")));
         }
         Err(e) => return Err(err(format!("connecting to farmd at {endpoint}: {e}"))),
     };
-    let write_half =
-        stream.try_clone().map_err(|e| err(format!("cloning farmd connection: {e}")))?;
-    let mut reader = BufReader::new(stream);
-    let writer = Arc::new(Mutex::new(RemoteWriter {
-        stream: write_half,
-        enc: WireEncoder::default(),
-        line: String::new(),
-    }));
-    // Socket I/O failures return `Served::Lost` (reconnectable) rather
-    // than a hard error; protocol violations stay hard errors.
-    let send =
-        |msg: &Message| -> std::io::Result<()> { writer.lock().expect("writer lock").send(msg) };
-    let mut line = String::new();
-    let recv_line =
-        |reader: &mut BufReader<FarmStream>, line: &mut String| -> std::io::Result<bool> {
-            line.clear();
-            let n = reader.read_line(line)?;
-            while line.ends_with('\n') || line.ends_with('\r') {
-                line.pop();
-            }
-            Ok(n > 0)
-        };
+    let (mut reader, writer) =
+        stream.into_lines().map_err(|e| err(format!("cloning farmd connection: {e}")))?;
+    // The write half is shared by the serve loop (RESULTs, READYs) and
+    // the heartbeat thread; the mutex serializes whole lines.
+    let writer = Arc::new(Mutex::new(writer));
 
-    // HELLO exchange + version negotiation.
-    if let Err(e) = send(&Message::hello()) {
-        return Ok(Served::Lost(format!("writing HELLO: {e}")));
-    }
-    match recv_line(&mut reader, &mut line) {
-        Ok(true) => {}
-        Ok(false) => return Ok(Served::Lost("connection closed before HELLO".to_owned())),
-        Err(e) => return Ok(Served::Lost(format!("reading HELLO: {e}"))),
-    }
-    match Message::decode(&line).map_err(|e| err(e.to_string()))? {
-        Message::Hello { min_version, max_version } => {
-            negotiate((MIN_WIRE_VERSION, WIRE_VERSION), (min_version, max_version))
-                .map_err(|e| err(e.to_string()))?;
+    // HELLO exchange + version negotiation. Socket trouble is a lost
+    // (reconnectable) dispatcher; a refusal, skew or garbage stays fatal.
+    match client_hello(&mut writer.lock().expect("writer lock"), &mut reader) {
+        Ok(_) => {}
+        Err(HandshakeError::Io(e)) if e.kind() != io::ErrorKind::InvalidData => {
+            return Ok(Ended::Lost(format!("HELLO exchange failed: {e}")));
         }
-        Message::Goodbye { reason } => {
-            return Err(err(format!("farmd rejected the connection: {reason}")));
-        }
-        other => return Err(err(format!("farmd answered HELLO with {other:?}"))),
+        Err(e) => return Err(err(format!("farmd at {endpoint}: {e}"))),
     }
 
     // Join the pool.
-    if let Err(e) = send(&Message::Register {
+    let register = Message::Register {
         name: opts.name.clone(),
         slots: opts.slots.max(1),
         pid: u64::from(std::process::id()),
-    }) {
-        return Ok(Served::Lost(format!("writing REGISTER: {e}")));
+    };
+    if let Err(e) = writer.lock().expect("writer lock").send(&register) {
+        return Ok(Ended::Lost(format!("writing REGISTER: {e}")));
     }
 
     // Liveness thread: heartbeats flow even while a long trial evaluates,
@@ -222,63 +167,23 @@ fn serve_once(
     });
     // Whatever path the serve loop exits on, stop the heartbeats and
     // close the socket so the dispatcher sees a prompt EOF.
-    struct Cleanup(Arc<AtomicBool>, Arc<Mutex<RemoteWriter>>);
+    struct Cleanup(Arc<AtomicBool>, Arc<Mutex<LineWriter<FarmStream>>>);
     impl Drop for Cleanup {
         fn drop(&mut self) {
             self.0.store(true, Ordering::Relaxed);
-            self.1.lock().expect("writer lock").stream.shutdown();
+            self.1.lock().expect("writer lock").get_ref().shutdown();
         }
     }
     let _cleanup = Cleanup(Arc::clone(&stop), Arc::clone(&writer));
 
-    // Serve: INIT re-targets the session, JOB evaluates, GOODBYE/DONE
-    // dismisses, EOF/IO errors report a lost (reconnectable) dispatcher.
-    // Each INIT starts a session with its own trial-input cache.
-    let mut session: Option<(Box<dyn Benchmark>, MachineProfile, InputCache)> = None;
-    loop {
-        match recv_line(&mut reader, &mut line) {
-            Ok(true) => {}
-            Ok(false) => return Ok(Served::Lost("connection closed".to_owned())),
-            Err(e) => return Ok(Served::Lost(format!("read error: {e}"))),
+    let send = |msg: &Message| writer.lock().expect("writer lock").send(msg);
+    serve_session(&mut reader, send, None, |index| {
+        if opts.fail_after.is_some_and(|n| *served >= n) {
+            // Injected fault: die the way a crashed worker dies —
+            // mid-protocol, without a RESULT or a GOODBYE.
+            eprintln!("petal-shard[{}]: injected failure before job {index}", opts.name);
+            std::process::exit(3);
         }
-        // A torn record is what a SIGKILLed dispatcher leaves mid-write:
-        // treat it as a lost connection, not a protocol crime.
-        let msg = match Message::decode(&line) {
-            Ok(m) => m,
-            Err(e) => return Ok(Served::Lost(format!("torn record: {e}"))),
-        };
-        match msg {
-            Message::Init { version, bench_spec, machine } => {
-                let bench = benchmark_from_spec(&bench_spec)
-                    .map_err(|e| err(format!("bad benchmark spec `{bench_spec}`: {e}")))?;
-                session = Some((bench, *machine, InputCache::new()));
-                if let Err(e) = send(&Message::Ready { version }) {
-                    return Ok(Served::Lost(format!("writing READY: {e}")));
-                }
-            }
-            Message::Job { index, job } => {
-                if opts.fail_after.is_some_and(|n| *served >= n) {
-                    // Injected fault: die the way a crashed worker dies —
-                    // mid-protocol, without a RESULT or a GOODBYE.
-                    eprintln!("petal-shard[{}]: injected failure before job {index}", opts.name);
-                    std::process::exit(3);
-                }
-                let Some((bench, machine, inputs)) = session.as_ref() else {
-                    return Err(err(format!("JOB {index} before any INIT")));
-                };
-                let outcome = inputs.enter(|| petal_farm::evaluate_job(&**bench, machine, &job));
-                if let Err(e) = send(&Message::Result { index, outcome }) {
-                    return Ok(Served::Lost(format!("writing RESULT: {e}")));
-                }
-                *served += 1;
-            }
-            Message::Goodbye { reason } => {
-                return Ok(Served::Dismissed(format!("farmd says goodbye: {reason}")));
-            }
-            Message::Done => return Ok(Served::Dismissed("farmd says done".to_owned())),
-            // Stray liveness chatter is legal on any socket.
-            Message::Heartbeat { .. } => {}
-            other => return Err(err(format!("unexpected {other:?} from farmd"))),
-        }
-    }
+        *served += 1;
+    })
 }
